@@ -1,6 +1,6 @@
 """LLAP substrate: LRFU cache, I/O elevator, persistent-executor daemon."""
 from .cache import ChunkKey, FileVersion, LlapCache
-from .daemon import LlapDaemon, simulate_container_allocation
+from .daemon import LlapDaemon
 from .elevator import ElevatorStats, IOElevator
 from .lrfu import LRFUPolicy
 
@@ -9,7 +9,6 @@ __all__ = [
     "FileVersion",
     "LlapCache",
     "LlapDaemon",
-    "simulate_container_allocation",
     "ElevatorStats",
     "IOElevator",
     "LRFUPolicy",

@@ -10,14 +10,20 @@ invalidate existing chunks — the cache behaves as an MVCC view whose
 visibility is controlled by the query's WriteId snapshot, exactly the
 paper's point about transactional file-level visibility.
 
-The metadata cache holds the row-group sidecar indexes (min/max + Blooms)
-per file, populated in bulk on first access so predicate evaluation can
-decide which chunks to load *before* any data miss ("avoids trashing the
-cache" with unneeded chunks).
+The metadata cache holds each file's own row-group metadata — row counts
+and min/max from the Parquet footer, plus the Bloom filters of the sidecar
+where the table configures them — populated in bulk on first access so
+predicate evaluation can decide which chunks to load *before* any data miss
+("avoids trashing the cache" with unneeded chunks), like LLAP caching ORC
+footers and indexes.
+
+The daemon's executor threads share one cache, so one lock guards the
+chunk map, the metadata map and the LRFU policy.
 """
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -77,40 +83,43 @@ class LlapCache:
         self._policy = LRFUPolicy(self.lam)
         self._bytes = 0
         self._meta: dict[str, tuple[FileMeta, FileVersion]] = {}
+        self._lock = threading.Lock()
 
     # -- data chunks -------------------------------------------------------
 
     def get_chunk(self, key: ChunkKey) -> pd.Series | None:
-        chunk = self._chunks.get(key)
-        if chunk is None:
-            self.stats.data_misses += 1
-            return None
-        current = FileVersion.of(key.file) if os.path.exists(key.file) else None
-        if current != chunk.version:
-            self._drop(key)
-            self.stats.invalidations += 1
-            self.stats.data_misses += 1
-            return None
-        self.stats.data_hits += 1
-        self._policy.record_access(key)
-        return chunk.data
+        with self._lock:
+            chunk = self._chunks.get(key)
+            if chunk is None:
+                self.stats.data_misses += 1
+                return None
+            current = FileVersion.of(key.file) if os.path.exists(key.file) else None
+            if current != chunk.version:
+                self._drop(key)
+                self.stats.invalidations += 1
+                self.stats.data_misses += 1
+                return None
+            self.stats.data_hits += 1
+            self._policy.record_access(key)
+            return chunk.data
 
     def put_chunk(self, key: ChunkKey, data: pd.Series) -> None:
         nbytes = int(data.memory_usage(deep=True))
         if nbytes > self.capacity_bytes:
             return  # never cache a chunk larger than the whole budget
         version = FileVersion.of(key.file)
-        if key in self._chunks:
-            self._drop(key)
-        while self._bytes + nbytes > self.capacity_bytes:
-            victim = self._policy.evict_candidate()
-            if victim is None:
-                break
-            self._drop(victim)
-            self.stats.evictions += 1
-        self._chunks[key] = _Chunk(data, nbytes, version)
-        self._bytes += nbytes
-        self._policy.record_access(key)
+        with self._lock:
+            if key in self._chunks:
+                self._drop(key)
+            while self._bytes + nbytes > self.capacity_bytes:
+                victim = self._policy.evict_candidate()
+                if victim is None:
+                    break
+                self._drop(victim)
+                self.stats.evictions += 1
+            self._chunks[key] = _Chunk(data, nbytes, version)
+            self._bytes += nbytes
+            self._policy.record_access(key)
 
     def _drop(self, key: ChunkKey) -> None:
         chunk = self._chunks.pop(key, None)
@@ -120,21 +129,21 @@ class LlapCache:
 
     # -- metadata ----------------------------------------------------------
 
-    def get_meta(self, file: str | Path) -> FileMeta | None:
+    def get_meta(self, file: str | Path) -> FileMeta:
         f = str(file)
-        entry = self._meta.get(f)
-        if entry is not None:
-            meta, version = entry
-            if FileVersion.of(f) == version:
-                self.stats.meta_hits += 1
-                return meta
-            del self._meta[f]
-            self.stats.invalidations += 1
-        self.stats.meta_misses += 1
-        meta = read_file_meta(Path(f))
-        if meta is not None:
+        with self._lock:
+            entry = self._meta.get(f)
+            if entry is not None:
+                meta, version = entry
+                if FileVersion.of(f) == version:
+                    self.stats.meta_hits += 1
+                    return meta
+                del self._meta[f]
+                self.stats.invalidations += 1
+            self.stats.meta_misses += 1
+            meta = read_file_meta(Path(f))
             self._meta[f] = (meta, FileVersion.of(f))
-        return meta
+            return meta
 
     # -- introspection -----------------------------------------------------
 
@@ -146,7 +155,8 @@ class LlapCache:
         return len(self._chunks)
 
     def clear(self) -> None:
-        self._chunks.clear()
-        self._meta.clear()
-        self._policy = LRFUPolicy(self.lam)
-        self._bytes = 0
+        with self._lock:
+            self._chunks.clear()
+            self._meta.clear()
+            self._policy = LRFUPolicy(self.lam)
+            self._bytes = 0

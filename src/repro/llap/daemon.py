@@ -13,13 +13,13 @@ and applies delete tombstones in pandas — small delete deltas are merged
 in memory, the paper's observation about the anti-join side staying tiny.
 
 Container-vs-LLAP modelling: a daemon is always warm. Container mode pays
-``container_startup_s`` per query for YARN container allocation and reads
-files cold (no caches). The startup constant is a documented calibration
-knob (EXPERIMENTS.md), not a measurement of this machine.
+``container_startup_s`` per query for YARN container allocation (slept in
+``core.hs2``) and reads files cold (no caches). The startup constant is a
+documented calibration knob (EXPERIMENTS.md), not a measurement of this
+machine.
 """
 from __future__ import annotations
 
-import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -31,7 +31,7 @@ from repro.llap.cache import LlapCache
 from repro.llap.elevator import IOElevator
 from repro.metastore import HiveMetastore, ValidWriteIdList
 from repro.storage import AcidReader
-from repro.storage.layout import DELETE_COLS, HIDDEN_COLS, WRITEID_COL
+from repro.storage.layout import HIDDEN_COLS, WRITEID_COL, drop_deleted
 
 __all__ = ["LlapDaemon"]
 
@@ -103,12 +103,8 @@ class LlapDaemon:
             return pd.DataFrame(columns=out_cols)
         data = pd.concat(frames, ignore_index=True)
 
-        # row-level WriteId visibility (compacted multi-write deltas) —
-        # vectorized: the invalid set is small, the comparison is columnar
-        mask = (data[WRITEID_COL] > 0) & (data[WRITEID_COL] <= wids.high_watermark)
-        if wids.invalid:
-            mask &= ~data[WRITEID_COL].isin(list(wids.invalid))
-        data = data[mask]
+        # row-level WriteId visibility (compacted multi-write deltas)
+        data = data[wids.valid_mask(data[WRITEID_COL])]
         if wid_floor:
             data = data[data[WRITEID_COL] > wid_floor]
 
@@ -117,21 +113,5 @@ class LlapDaemon:
             tombs = pd.concat(
                 [pd.read_parquet(f) for f in delete_files], ignore_index=True
             )
-            tmask = (tombs[WRITEID_COL] > 0) & (
-                tombs[WRITEID_COL] <= wids.high_watermark
-            )
-            if wids.invalid:
-                tmask &= ~tombs[WRITEID_COL].isin(list(wids.invalid))
-            tombs = tombs[tmask]
-            t3 = tombs[list(DELETE_COLS)].rename(
-                columns=dict(zip(DELETE_COLS, HIDDEN_COLS))
-            ).drop_duplicates()
-            data = data.merge(t3, on=list(HIDDEN_COLS), how="left", indicator=True)
-            data = data[data["_merge"] == "left_only"]
+            data = drop_deleted(data, tombs[wids.valid_mask(tombs[WRITEID_COL])])
         return data[list(out_cols)].reset_index(drop=True)
-
-
-def simulate_container_allocation(container_startup_s: float) -> None:
-    """The YARN container allocation delay container mode pays per query."""
-    if container_startup_s > 0:
-        time.sleep(container_startup_s)

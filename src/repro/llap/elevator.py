@@ -18,6 +18,7 @@ Pushdown semantics:
 """
 from __future__ import annotations
 
+import datetime as _dt
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,28 +41,21 @@ class ElevatorStats:
     rows_filtered_by_runtime_bloom: int = 0
 
 
-def _normalize(v):
-    """Match the JSON normalization used in the sidecar min/max values."""
-    if isinstance(v, pd.Timestamp):
-        return v.isoformat()
-    if hasattr(v, "isoformat"):
-        return v.isoformat()
-    return v
-
-
-def _range_overlaps(mm: tuple, pred: BinOp) -> bool:
+def _overlaps(mm: tuple, op: str, v) -> bool:
+    """Can a row group whose footer holds ``(min, max)`` satisfy ``col op v``?"""
     lo, hi = mm
-    v = _normalize(pred.right.value)
+    if isinstance(lo, _dt.datetime) and isinstance(v, (str, _dt.date)):
+        v = pd.Timestamp(v)  # footer timestamps vs date / ISO-string literals
     try:
-        if pred.op == "=":
+        if op == "=":
             return lo <= v <= hi
-        if pred.op == "<":
+        if op == "<":
             return lo < v
-        if pred.op == "<=":
+        if op == "<=":
             return lo <= v
-        if pred.op == ">":
+        if op == ">":
             return hi > v
-        if pred.op == ">=":
+        if op == ">=":
             return hi >= v
     except TypeError:
         return True
@@ -74,7 +68,7 @@ def _group_survives(
     for p in preds:
         if isinstance(p, BinOp) and isinstance(p.left, Col) and isinstance(p.right, Lit):
             mm = g.min_max.get(p.left.name)
-            if mm is not None and not _range_overlaps(mm, p):
+            if mm is not None and not _overlaps(mm, p.op, p.right.value):
                 stats.row_groups_skipped_minmax += 1
                 return False
             if p.op == "=" and p.left.name in g.blooms:
@@ -83,18 +77,9 @@ def _group_survives(
                     return False
         elif isinstance(p, InList) and isinstance(p.arg, Col):
             mm = g.min_max.get(p.arg.name)
-            if mm is not None:
-                try:
-                    vals = [
-                        v for v in map(_normalize, p.values) if mm[0] <= v <= mm[1]
-                    ]
-                except TypeError:
-                    vals = list(p.values)
-                if not vals:
-                    stats.row_groups_skipped_minmax += 1
-                    return False
-            else:
-                vals = list(p.values)
+            if mm is not None and not any(_overlaps(mm, "=", v) for v in p.values):
+                stats.row_groups_skipped_minmax += 1
+                return False
             if p.arg.name in g.blooms and not any(
                 g.blooms[p.arg.name].might_contain(v) for v in p.values
             ):
@@ -114,7 +99,7 @@ class IOElevator:
     def read_file(
         self,
         file: str | Path,
-        columns: list[str] | None = None,
+        columns: list[str],
         pushed_filters: list[Expr] | None = None,
         runtime_blooms: dict[str, BloomFilter] | None = None,
     ) -> pd.DataFrame | None:
@@ -126,22 +111,11 @@ class IOElevator:
         f = str(file)
         preds = list(pushed_filters or [])
         meta = self.cache.get_meta(f)
-        if meta is None:
-            # no sidecar: fall back to a plain full read
-            pdf = pd.read_parquet(f, columns=columns)
-            return self._apply_runtime_blooms(pdf, runtime_blooms)
-
         self.stats.row_groups_total += len(meta.row_groups)
         selected = [g for g in meta.row_groups if _group_survives(g, preds, self.stats)]
         if not selected:
             return None
         self.stats.row_groups_read += len(selected)
-
-        if columns is None:
-            columns = sorted(
-                {c for g in meta.row_groups for c in g.min_max}
-                | {c for g in meta.row_groups for c in g.blooms}
-            )
 
         # figure out which chunks are missing, load the file once if any
         missing: list[tuple[RowGroupMeta, str]] = []

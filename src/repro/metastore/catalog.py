@@ -195,9 +195,6 @@ class HiveMetastore:
     def save_resource_plan(self, name: str, plan: object) -> None:
         self._resource_plans[name] = plan
 
-    def get_resource_plan(self, name: str) -> object:
-        return self._resource_plans[name]
-
     def activate_resource_plan(self, name: str) -> None:
         if name not in self._resource_plans:
             raise KeyError(f"resource plan {name!r} not found")
@@ -210,6 +207,3 @@ class HiveMetastore:
 
     def register_hook(self, handler_name: str, hook: object) -> None:
         self._hooks[handler_name] = hook
-
-    def hook_for(self, handler_name: str) -> object | None:
-        return self._hooks.get(handler_name)

@@ -19,6 +19,8 @@ import threading
 from dataclasses import dataclass, field
 from enum import Enum
 
+import pandas as pd
+
 __all__ = [
     "TxnState",
     "LockMode",
@@ -89,6 +91,14 @@ class ValidWriteIdList:
 
     def is_valid(self, write_id: int) -> bool:
         return 0 < write_id <= self.high_watermark and write_id not in self.invalid
+
+    def valid_mask(self, write_ids: pd.Series) -> pd.Series:
+        """:meth:`is_valid` over a column of WriteIds, vectorized: the
+        invalid set is small, the comparison is columnar."""
+        mask = (write_ids > 0) & (write_ids <= self.high_watermark)
+        if self.invalid:
+            mask &= ~write_ids.isin(list(self.invalid))
+        return mask
 
 
 @dataclass

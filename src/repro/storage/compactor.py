@@ -20,17 +20,16 @@ import pandas as pd
 
 from repro.metastore import HiveMetastore
 from repro.storage.layout import (
-    DELETE_COLS,
     DirKind,
-    HIDDEN_COLS,
     WRITEID_COL,
     base_dir,
+    bloom_columns,
     bucket_file,
-    compute_file_meta,
     delete_delta_dir,
     delta_dir,
+    drop_deleted,
     list_acid_dirs,
-    write_file_meta,
+    write_data_file,
 )
 
 __all__ = ["Compactor", "CompactionDecision"]
@@ -77,31 +76,21 @@ class Compactor:
         for d in dirs:
             for f in sorted(d.path.glob("*.parquet")):
                 pdf = pd.read_parquet(f)
-                pdf = pdf[
-                    pdf[WRITEID_COL].map(lambda w: wids.is_valid(int(w)) and w <= ceiling)
-                ]
+                w = pdf[WRITEID_COL]
+                pdf = pdf[wids.valid_mask(w) & (w <= ceiling)]
                 if len(pdf):
                     frames.append(pdf)
         if not frames:
             return None
         return pd.concat(frames, ignore_index=True)
 
-    def _write_dir(self, dir_path: Path, pdf: pd.DataFrame, bloom_cols=()) -> None:
-        dir_path.mkdir(parents=True, exist_ok=True)
-        pdf.to_parquet(
+    def _write_dir(self, dir_path: Path, pdf: pd.DataFrame, table: str) -> None:
+        write_data_file(
             dir_path / bucket_file(0),
-            index=False,
-            coerce_timestamps="us",
-            allow_truncated_timestamps=True,
+            pdf,
+            self.row_group_rows,
+            bloom_columns(self.hms.get_table(table)),
         )
-        write_file_meta(
-            compute_file_meta(pdf, self.row_group_rows, bloom_cols),
-            dir_path / bucket_file(0),
-        )
-
-    def _bloom_cols(self, table: str) -> tuple[str, ...]:
-        raw = self.hms.get_table(table).properties.get("bloom.filter.columns", "")
-        return tuple(c.strip() for c in raw.split(",") if c.strip())
 
     # -- compaction --------------------------------------------------------
 
@@ -124,7 +113,7 @@ class Compactor:
             wmin = min(d.wmin for d in eligible)
             wmax = max(d.wmax for d in eligible)
             if rows is not None:
-                self._write_dir(path / make_dir(wmin, wmax), rows, self._bloom_cols(table))
+                self._write_dir(path / make_dir(wmin, wmax), rows, table)
             self._obsolete += [d.path for d in eligible]
             merged_any = True
         return merged_any
@@ -152,13 +141,8 @@ class Compactor:
         if rows is not None:
             tombs = self._valid_rows(delete_dirs, table, ceiling)
             if tombs is not None:
-                key = list(HIDDEN_COLS)
-                t = tombs[list(DELETE_COLS)].rename(
-                    columns=dict(zip(DELETE_COLS, HIDDEN_COLS))
-                ).drop_duplicates()
-                rows = rows.merge(t, on=key, how="left", indicator=True)
-                rows = rows[rows["_merge"] == "left_only"].drop(columns="_merge")
-            self._write_dir(path / base_dir(wmax), rows, self._bloom_cols(table))
+                rows = drop_deleted(rows, tombs)
+            self._write_dir(path / base_dir(wmax), rows, table)
         self._obsolete += [d.path for d in data_dirs + delete_dirs]
         return True
 

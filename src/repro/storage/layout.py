@@ -6,10 +6,16 @@ Mirrors Hive's directory scheme::
                                         delta_<wmin>_<wmax>/bucket_<fileid>.parquet
                                         delete_delta_<wmin>_<wmax>/bucket_<fileid>.parquet
 
-plus a sidecar ``bucket_<fileid>.meta.json`` per data file holding row-group
-metadata (min/max per column, optional Bloom filters) — the Parquet-world
-equivalent of ORC's row-group indexes, which the LLAP I/O elevator and index
-semijoin push predicates into.
+Data files are written with physical row groups of ``row_group_rows`` rows,
+and their Parquet footers are the one source of row-group metadata (row
+counts and min/max per column) — the Parquet-world equivalent of ORC's
+row-group indexes, which the LLAP I/O elevator pushes predicates into.
+pyarrow cannot write Parquet Bloom filters, so tables with
+``bloom.filter.columns`` also get a ``bucket_<fileid>.meta.json`` sidecar
+holding only the per-row-group Bloom filters. This module is the only one
+that knows the file format: writer and compactor go through
+:func:`write_data_file`, the LLAP metadata cache through
+:func:`read_file_meta`.
 
 Hidden columns stored in every ACID data file: ``__writeid``, ``__fileid``,
 ``__rowid`` — their combination uniquely identifies a record (§3.2). Delete
@@ -27,6 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import pandas as pd
+import pyarrow.parquet as pq
 
 from repro.bloom import BloomFilter
 
@@ -48,8 +55,10 @@ __all__ = [
     "list_acid_dirs",
     "RowGroupMeta",
     "FileMeta",
-    "write_file_meta",
+    "bloom_columns",
+    "write_data_file",
     "read_file_meta",
+    "drop_deleted",
 ]
 
 WRITEID_COL = "__writeid"
@@ -130,14 +139,14 @@ def list_acid_dirs(partition_path: Path) -> list[AcidDir]:
     return out
 
 
-# -- row-group sidecar metadata (ORC-index equivalent) ---------------------
+# -- row-group metadata: Parquet footer + Bloom sidecar (ORC-index equivalent)
 
 
 @dataclass
 class RowGroupMeta:
     start: int
     n_rows: int
-    min_max: dict[str, tuple]  # col -> (min, max), JSON-normalized
+    min_max: dict[str, tuple]  # col -> (min, max) from the Parquet footer
     blooms: dict[str, BloomFilter]
 
 
@@ -147,80 +156,86 @@ class FileMeta:
     row_groups: list[RowGroupMeta]
 
 
-def _json_val(v):
-    """Normalize a pandas scalar for JSON min/max storage.
-
-    Timestamps/dates become ISO strings; the elevator normalizes query
-    literals the same way so comparisons stay consistent.
-    """
-    if isinstance(v, pd.Timestamp):
-        return v.isoformat()
-    if hasattr(v, "item"):
-        return v.item()
-    return v
+def bloom_columns(table) -> tuple[str, ...]:
+    """Columns named in the table's ``bloom.filter.columns`` property."""
+    raw = table.properties.get("bloom.filter.columns", "")
+    return tuple(c.strip() for c in raw.split(",") if c.strip())
 
 
-def compute_file_meta(
+def _sidecar(data_file: Path) -> Path:
+    return data_file.with_suffix(".meta.json")
+
+
+def write_data_file(
+    data_file: Path,
     pdf: pd.DataFrame,
     row_group_rows: int = 10_000,
-    bloom_columns: tuple[str, ...] = (),
-) -> FileMeta:
-    """Per-row-group min/max for every column + Blooms for configured ones.
+    bloom_cols: tuple[str, ...] = (),
+) -> None:
+    """Write one ACID data file with physical row groups of ``row_group_rows``.
 
-    Mirrors ORC: indexes exist for all columns; Bloom filters only for the
-    columns named in table properties (``orc.bloom.filter.columns``-style).
+    The Parquet footer carries each row group's row count and min/max for
+    every column. pyarrow cannot write Parquet Bloom filters, so those
+    configured in ``bloom_cols`` (``orc.bloom.filter.columns``-style) go to
+    a sidecar, one entry per row group; without them no sidecar is written.
     """
-    groups: list[RowGroupMeta] = []
-    cols = [c for c in pdf.columns]
-    for start in range(0, max(1, len(pdf)), row_group_rows):
-        chunk = pdf.iloc[start : start + row_group_rows]
-        if chunk.empty and start > 0:
-            break
-        mm: dict[str, tuple] = {}
-        blooms: dict[str, BloomFilter] = {}
-        for c in cols:
-            s = chunk[c].dropna()
-            if len(s):
-                mm[c] = (_json_val(s.min()), _json_val(s.max()))
-            if c in bloom_columns:
-                blooms[c] = BloomFilter.of(s.unique().tolist())
-        groups.append(RowGroupMeta(start, len(chunk), mm, blooms))
-    return FileMeta(len(pdf), groups)
-
-
-def write_file_meta(meta: FileMeta, data_file: Path) -> Path:
-    """Persist sidecar metadata next to ``data_file`` (``*.meta.json``)."""
-    payload = {
-        "n_rows": meta.n_rows,
-        "row_groups": [
-            {
-                "start": g.start,
-                "n_rows": g.n_rows,
-                "min_max": {c: list(v) for c, v in g.min_max.items()},
-                "blooms": {c: b.to_b64() for c, b in g.blooms.items()},
-            }
-            for g in meta.row_groups
-        ],
-    }
-    out = data_file.with_suffix(".meta.json")
-    out.write_text(json.dumps(payload))
-    return out
-
-
-def read_file_meta(data_file: Path) -> FileMeta | None:
-    side = data_file.with_suffix(".meta.json")
-    if not side.exists():
-        return None
-    raw = json.loads(side.read_text())
-    return FileMeta(
-        n_rows=raw["n_rows"],
-        row_groups=[
-            RowGroupMeta(
-                start=g["start"],
-                n_rows=g["n_rows"],
-                min_max={c: tuple(v) for c, v in g["min_max"].items()},
-                blooms={c: BloomFilter.from_b64(b) for c, b in g["blooms"].items()},
-            )
-            for g in raw["row_groups"]
-        ],
+    data_file.parent.mkdir(parents=True, exist_ok=True)
+    # microsecond timestamps: Spark's Parquet reader rejects NANOS
+    pdf.to_parquet(
+        data_file,
+        index=False,
+        row_group_size=row_group_rows,
+        coerce_timestamps="us",
+        allow_truncated_timestamps=True,
     )
+    cols = [c for c in bloom_cols if c in pdf.columns]
+    if not cols:
+        return
+    groups = [
+        {
+            c: BloomFilter.of(
+                pdf[c].iloc[start : start + row_group_rows].dropna().unique().tolist()
+            ).to_b64()
+            for c in cols
+        }
+        # an empty frame is still written as one (empty) row group
+        for start in range(0, max(1, len(pdf)), row_group_rows)
+    ]
+    _sidecar(data_file).write_text(json.dumps(groups))
+
+
+def read_file_meta(data_file: Path) -> FileMeta:
+    """Row groups of ``data_file``: offsets, row counts and min/max from its
+    Parquet footer, plus the sidecar's Bloom filters where there is one."""
+    footer = pq.read_metadata(data_file)
+    side = _sidecar(data_file)
+    n_groups = footer.num_row_groups
+    blooms = json.loads(side.read_text()) if side.exists() else [{}] * n_groups
+    groups, start = [], 0
+    for i in range(n_groups):
+        rg = footer.row_group(i)
+        min_max = {}
+        for j in range(rg.num_columns):
+            column = rg.column(j)
+            st = column.statistics
+            if st is not None and st.has_min_max:
+                min_max[column.path_in_schema] = (st.min, st.max)
+        groups.append(
+            RowGroupMeta(
+                start,
+                rg.num_rows,
+                min_max,
+                {c: BloomFilter.from_b64(b) for c, b in blooms[i].items()},
+            )
+        )
+        start += rg.num_rows
+    return FileMeta(footer.num_rows, groups)
+
+
+def drop_deleted(rows: pd.DataFrame, tombs: pd.DataFrame) -> pd.DataFrame:
+    """Anti-join ``rows`` against delete-delta tombstones on the identity triple."""
+    t = tombs[list(DELETE_COLS)].rename(
+        columns=dict(zip(DELETE_COLS, HIDDEN_COLS))
+    ).drop_duplicates()
+    rows = rows.merge(t, on=list(HIDDEN_COLS), how="left", indicator=True)
+    return rows[rows["_merge"] == "left_only"].drop(columns="_merge")

@@ -8,9 +8,11 @@ paper describes. Writes also feed the additive statistics in HMS so the
 cost-based optimizer never needs a rescan.
 
 Writes materialize through pandas/pyarrow rather than Spark's writer because
-ACID file naming (``bucket_<fileid>``, WriteId-ranged directories, sidecar
-row-group metadata) must be exact; reads — the hot path — go through Spark
-(:mod:`repro.storage.reader`) or the LLAP elevator.
+ACID file naming (``bucket_<fileid>``, WriteId-ranged directories) and the
+physical row-group size must be exact; every file goes through
+:func:`repro.storage.layout.write_data_file`, the same helper the compactor
+uses. Reads — the hot path — go through Spark (:mod:`repro.storage.reader`)
+or the LLAP elevator.
 """
 from __future__ import annotations
 
@@ -26,12 +28,12 @@ from repro.storage.layout import (
     HIDDEN_COLS,
     ROWID_COL,
     WRITEID_COL,
+    bloom_columns,
     bucket_file,
-    compute_file_meta,
     delete_delta_dir,
     delta_dir,
     partition_key,
-    write_file_meta,
+    write_data_file,
 )
 
 __all__ = ["AcidWriter"]
@@ -63,10 +65,6 @@ class AcidWriter:
     def table_path(self, table: str) -> Path:
         return self.warehouse / table
 
-    def _bloom_columns(self, table) -> tuple[str, ...]:
-        raw = table.properties.get("bloom.filter.columns", "")
-        return tuple(c.strip() for c in raw.split(",") if c.strip())
-
     def _partition_groups(self, table, pdf: pd.DataFrame):
         """Yield ``(partition_key, group_frame)``; one ('', pdf) if unpartitioned."""
         if not table.partitioned_by:
@@ -76,17 +74,6 @@ class AcidWriter:
             if not isinstance(values, tuple):
                 values = (values,)
             yield partition_key(table.partitioned_by, values), group
-
-    def _write_bucket(
-        self, dir_path: Path, fileid: int, pdf: pd.DataFrame, bloom_cols=()
-    ) -> None:
-        dir_path.mkdir(parents=True, exist_ok=True)
-        f = dir_path / bucket_file(fileid)
-        # microsecond timestamps: Spark's Parquet reader rejects NANOS
-        pdf.to_parquet(f, index=False, coerce_timestamps="us", allow_truncated_timestamps=True)
-        write_file_meta(
-            compute_file_meta(pdf, self.row_group_rows, bloom_cols), f
-        )
 
     # -- DML --------------------------------------------------------------
 
@@ -99,7 +86,7 @@ class AcidWriter:
             raise ValueError(f"insert into {table_name} missing columns {sorted(missing)}")
         wid = self.hms.txns.allocate_write_id(txn_id, table_name)
         pdf = pdf[table.column_names()].reset_index(drop=True)
-        bloom_cols = self._bloom_columns(table)
+        bloom_cols = bloom_columns(table)
 
         rows_before = 0
         for key, group in self._partition_groups(table, pdf):
@@ -109,7 +96,9 @@ class AcidWriter:
             group[FILEID_COL] = np.int64(fileid)
             group[ROWID_COL] = np.arange(len(group), dtype=np.int64)
             dir_path = self.table_path(table_name) / key / delta_dir(wid, wid)
-            self._write_bucket(dir_path, fileid, group, bloom_cols)
+            write_data_file(
+                dir_path / bucket_file(fileid), group, self.row_group_rows, bloom_cols
+            )
             if key:
                 self.hms.add_partition(table_name, key)
                 self.hms.txns.acquire_lock(txn_id, table_name, key)
@@ -150,7 +139,7 @@ class AcidWriter:
             for c in table.partitioned_by:
                 tomb[c] = group[c].values
             dir_path = self.table_path(table_name) / key / delete_delta_dir(wid, wid)
-            self._write_bucket(dir_path, fileid, tomb)
+            write_data_file(dir_path / bucket_file(fileid), tomb, self.row_group_rows)
             self.hms.txns.record_write(txn_id, table_name, key or None)
         return wid
 

@@ -1,20 +1,29 @@
-"""Directory naming, partition keys, row-group sidecar metadata, Bloom."""
+"""Directory naming, partition keys, row-group metadata (Parquet footer +
+Bloom sidecar), Bloom filters."""
+import datetime
+import json
+import math
+
 import pandas as pd
+import pyarrow.parquet as pq
 import pytest
 
 from repro.bloom import BloomFilter
+from repro.core.expr import col
+from repro.llap import IOElevator, LlapCache
+from repro.metastore import Column, HiveMetastore, Table
+from repro.storage import AcidWriter, Compactor
 from repro.storage.layout import (
     DirKind,
     base_dir,
     bucket_file,
-    compute_file_meta,
     delete_delta_dir,
     delta_dir,
     parse_acid_dir,
     partition_key,
     partition_values_from_key,
     read_file_meta,
-    write_file_meta,
+    write_data_file,
 )
 
 
@@ -59,52 +68,128 @@ class TestPartitionKeys:
 
 
 class TestFileMeta:
+    """Row-group metadata comes from the Parquet footer; Blooms from a sidecar."""
+
     def _pdf(self, n=25_000):
         return pd.DataFrame({"k": range(n), "v": [i * 0.5 for i in range(n)]})
 
-    def test_row_groups_chunked(self):
-        meta = compute_file_meta(self._pdf(), row_group_rows=10_000)
+    def _write(self, tmp_path, pdf, row_group_rows=10_000, bloom_cols=()):
+        f = tmp_path / "bucket_00000.parquet"
+        write_data_file(f, pdf, row_group_rows, bloom_cols)
+        return f
+
+    def test_row_groups_chunked(self, tmp_path):
+        f = self._write(tmp_path, self._pdf())
+        meta = read_file_meta(f)
         assert [g.n_rows for g in meta.row_groups] == [10_000, 10_000, 5_000]
         assert meta.n_rows == 25_000
+        assert pq.read_metadata(f).num_row_groups == 3  # physical row groups
 
-    def test_min_max_per_group(self):
-        meta = compute_file_meta(self._pdf(), row_group_rows=10_000)
+    def test_min_max_per_group(self, tmp_path):
+        meta = read_file_meta(self._write(tmp_path, self._pdf()))
         assert meta.row_groups[0].min_max["k"] == (0, 9_999)
         assert meta.row_groups[2].min_max["k"] == (20_000, 24_999)
 
-    def test_blooms_only_for_configured_columns(self):
-        meta = compute_file_meta(self._pdf(100), 50, bloom_columns=("k",))
+    def test_blooms_only_for_configured_columns(self, tmp_path):
+        meta = read_file_meta(self._write(tmp_path, self._pdf(100), 50, ("k",)))
         assert "k" in meta.row_groups[0].blooms
         assert "v" not in meta.row_groups[0].blooms
 
-    def test_bloom_membership(self):
-        meta = compute_file_meta(self._pdf(100), 100, bloom_columns=("k",))
+    def test_bloom_membership(self, tmp_path):
+        meta = read_file_meta(self._write(tmp_path, self._pdf(100), 100, ("k",)))
         b = meta.row_groups[0].blooms["k"]
         assert b.might_contain(42)
         assert not b.might_contain(-1)
 
     def test_roundtrip(self, tmp_path):
-        f = tmp_path / "bucket_00000.parquet"
-        pdf = self._pdf(1000)
-        pdf.to_parquet(f)
-        meta = compute_file_meta(pdf, 400, bloom_columns=("k",))
-        write_file_meta(meta, f)
+        f = self._write(tmp_path, self._pdf(1000), 400, ("k",))
         got = read_file_meta(f)
         assert got.n_rows == 1000
         assert [g.start for g in got.row_groups] == [0, 400, 800]
         assert got.row_groups[1].min_max["k"] == (400, 799)
         assert got.row_groups[0].blooms["k"].might_contain(5)
+        # the sidecar holds one Bloom entry per row group and nothing else
+        side = json.loads(f.with_suffix(".meta.json").read_text())
+        assert [sorted(g) for g in side] == [["k"]] * 3
 
     def test_missing_sidecar(self, tmp_path):
-        assert read_file_meta(tmp_path / "nope.parquet") is None
-
-    def test_timestamp_min_max_serializable(self, tmp_path):
-        pdf = pd.DataFrame({"d": pd.to_datetime(["2018-01-02", "2018-03-04"])})
-        f = tmp_path / "bucket_00000.parquet"
-        pdf.to_parquet(f)
-        write_file_meta(compute_file_meta(pdf), f)
+        f = self._write(tmp_path, self._pdf(1000), 400)
+        assert not f.with_suffix(".meta.json").exists()
         got = read_file_meta(f)
-        assert got.row_groups[0].min_max["d"][0].startswith("2018-01-02")
+        assert [g.n_rows for g in got.row_groups] == [400, 400, 200]
+        assert got.row_groups[2].min_max["v"] == (400.0, 499.5)
+        assert all(not g.blooms for g in got.row_groups)
+
+    @pytest.mark.parametrize(
+        "literal",
+        [pd.Timestamp("2018-09-01"), datetime.date(2018, 9, 1), "2018-09-01"],
+        ids=["timestamp", "date", "iso_string"],
+    )
+    def test_timestamp_range_skips_row_groups(self, tmp_path, literal):
+        pdf = pd.DataFrame({"d": pd.date_range("2018-01-01", periods=300, freq="D")})
+        f = self._write(tmp_path, pdf, 100)
+        # footer min/max are native timestamps, not encoded strings
+        assert read_file_meta(f).row_groups[0].min_max["d"][0] == pd.Timestamp("2018-01-01")
+        e = IOElevator(LlapCache())
+        got = e.read_file(str(f), ["d"], [col("d").ge(literal)])
+        assert e.stats.row_groups_skipped_minmax == 2  # Jan–Jul groups
+        assert e.stats.row_groups_read == 1
+        assert (got["d"] >= pd.Timestamp("2018-09-01")).sum() == 57
+
+
+class TestAcidFileLayout:
+    """Writer and compactor files: physical row groups of ``row_group_rows``,
+    footer min/max for pruning, and a sidecar only for Bloom columns."""
+
+    @pytest.fixture
+    def env(self, tmp_path):
+        hms = HiveMetastore()
+        cols = [Column("k", "bigint"), Column("v", "double")]
+        hms.create_table(Table("bloomed", cols, properties={"bloom.filter.columns": "k"}))
+        hms.create_table(Table("plain", cols))
+        writer = AcidWriter(hms, tmp_path, row_group_rows=100)
+        compactor = Compactor(hms, tmp_path, row_group_rows=100)
+        return hms, writer, compactor, tmp_path
+
+    @staticmethod
+    def _rows(lo, hi):
+        return pd.DataFrame({"k": range(lo, hi), "v": [float(i) for i in range(lo, hi)]})
+
+    @pytest.mark.parametrize("table", ["bloomed", "plain"])
+    def test_insert_and_major_compact(self, env, table):
+        hms, writer, compactor, warehouse = env
+        for lo, hi in ((0, 250), (250, 430)):
+            txn = hms.txns.open_txn()
+            writer.insert(txn, table, self._rows(lo, hi))
+            hms.txns.commit(txn)
+        deltas = sorted((warehouse / table).rglob("*.parquet"))
+        assert [pq.read_metadata(f).num_row_groups for f in deltas] == [
+            math.ceil(250 / 100),
+            math.ceil(180 / 100),
+        ]
+        txn = hms.txns.open_txn()
+        victims = pd.read_parquet(deltas[0])
+        writer.delete(txn, table, victims[victims["k"] < 10])
+        hms.txns.commit(txn)
+
+        assert compactor.major_compact(table)
+        compactor.clean()
+        [base] = (warehouse / table).rglob("*.parquet")
+        assert pq.read_metadata(base).num_rows == 420
+        assert pq.read_metadata(base).num_row_groups == math.ceil(420 / 100)
+        sidecars = list((warehouse / table).rglob("*.meta.json"))
+        if table == "bloomed":
+            assert sidecars == [base.with_suffix(".meta.json")]
+            assert [sorted(g) for g in json.loads(sidecars[0].read_text())] == [["k"]] * 5
+        else:
+            assert sidecars == []
+
+        # groups hold k in [10,110) [110,210) [210,310) [310,410) [410,430)
+        e = IOElevator(LlapCache())
+        got = e.read_file(str(base), ["k"], [col("k").ge(350)])
+        assert e.stats.row_groups_skipped_minmax == 3
+        assert e.stats.row_groups_read == 2
+        assert sorted(got["k"])[-80:] == list(range(350, 430))
 
 
 class TestBloomFilter:

@@ -1,10 +1,14 @@
 """LLAP substrate (§5.1): LRFU, chunk cache, I/O elevator, daemon scans."""
+import sys
+import threading
+
 import pandas as pd
 import pytest
 
 from repro.bloom import BloomFilter
 from repro.core.expr import Col, InList, col
 from repro.llap import ChunkKey, IOElevator, LlapCache, LlapDaemon, LRFUPolicy
+from repro.storage.layout import write_data_file
 from tests.conftest import make_acid_env, rows
 
 
@@ -95,16 +99,43 @@ class TestCache:
         assert len(c) == 0
 
     def test_metadata_cache_hit(self, tmp_path):
-        from repro.storage.layout import compute_file_meta, write_file_meta
-
         f = tmp_path / "bucket_00000.parquet"
-        pdf = pd.DataFrame({"k": range(100)})
-        pdf.to_parquet(f)
-        write_file_meta(compute_file_meta(pdf, 50), f)
+        write_data_file(f, pd.DataFrame({"k": range(100)}), row_group_rows=50)
         c = LlapCache()
-        assert c.get_meta(f) is not None
-        assert c.get_meta(f) is not None
+        assert len(c.get_meta(f).row_groups) == 2
+        assert len(c.get_meta(f).row_groups) == 2
         assert c.stats.meta_hits == 1 and c.stats.meta_misses == 1
+
+    def test_concurrent_put_get(self, data_file):
+        """Executor threads share one cache: LRFU eviction must not race
+        inserts, and the byte count must match the chunks actually held."""
+        chunk = pd.Series(range(100))
+        c = LlapCache(capacity_bytes=4 * int(chunk.memory_usage(deep=True)))
+        errors = []
+
+        def work(tid):
+            try:
+                for i in range(2_000):
+                    key = ChunkKey(data_file, (tid * 7 + i) % 32, "k")
+                    if c.get_chunk(key) is None:
+                        c.put_chunk(key, chunk.copy())
+            except Exception as exc:  # noqa: BLE001 - any raise is the failure
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert c.stats.evictions > 0
+        assert c.used_bytes == sum(ch.nbytes for ch in c._chunks.values())
 
 
 # ---------------------------------------------------------------------------
@@ -114,12 +145,9 @@ class TestCache:
 
 @pytest.fixture
 def indexed_file(tmp_path):
-    from repro.storage.layout import compute_file_meta, write_file_meta
-
     f = tmp_path / "bucket_00000.parquet"
     pdf = pd.DataFrame({"k": range(1000), "v": [i * 0.5 for i in range(1000)]})
-    pdf.to_parquet(f)
-    write_file_meta(compute_file_meta(pdf, row_group_rows=100, bloom_columns=("k",)), f)
+    write_data_file(f, pdf, row_group_rows=100, bloom_cols=("k",))
     return str(f)
 
 
@@ -180,10 +208,13 @@ class TestElevator:
         assert e.stats.rows_filtered_by_runtime_bloom >= 94
 
     def test_no_sidecar_fallback(self, tmp_path):
+        """A file without a Bloom sidecar is pruned by its footer alone."""
         f = tmp_path / "plain.parquet"
         pd.DataFrame({"k": range(10)}).to_parquet(f)
         e = IOElevator(LlapCache())
         assert len(e.read_file(str(f), ["k"])) == 10
+        assert e.read_file(str(f), ["k"], [col("k").gt(9)]) is None
+        assert e.stats.row_groups_skipped_minmax == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 """Transaction manager (§3.2): TxnId/WriteId, snapshots, locks, conflicts."""
+import pandas as pd
 import pytest
 
 from repro.metastore.txn import (
@@ -120,6 +121,20 @@ class TestSnapshots:
     def test_write_id_zero_never_valid(self, tm):
         wl = tm.valid_write_ids(tm.snapshot(), "a")
         assert not wl.is_valid(0)
+
+    def test_valid_mask_matches_is_valid(self, tm):
+        """The vectorized mask scans use agrees with the per-WriteId rule."""
+        for commit in (True, False, True, None):  # None: writer left open
+            t = tm.open_txn()
+            tm.allocate_write_id(t, "a")
+            if commit is True:
+                tm.commit(t)
+            elif commit is False:
+                tm.abort(t)
+        wl = tm.valid_write_ids(tm.snapshot(), "a")
+        assert wl.invalid == frozenset({2, 4})
+        wids = pd.Series([0, 1, 2, 3, 4, 5, 3, 1], dtype="int64")
+        assert wl.valid_mask(wids).tolist() == [wl.is_valid(w) for w in wids]
 
     def test_min_open_txn(self, tm):
         assert tm.min_open_txn() is None
