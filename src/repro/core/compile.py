@@ -5,7 +5,9 @@ This is the HS2 "physical plan" stage (Figure 2). Scans are delegated to an
 snapshot reader (container mode), the LLAP elevator (cached, row-group
 skipping), or a federated system (``ForeignQuery``). Shared-work reuse
 (§4.5) hooks in here: subtrees whose fingerprints are listed in
-``shared_fingerprints`` are compiled once, persisted, and reused.
+``shared_fingerprints`` are compiled once, persisted, and reused; a caller
+that passes ``_memo`` gets the persisted frames back to unpersist them
+when the query ends.
 """
 from __future__ import annotations
 

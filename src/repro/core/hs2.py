@@ -1,53 +1,52 @@
 """HiveServer2: the end-to-end query driver (Figure 2).
 
-One :class:`HiveServer2` instance owns the metastore-backed ACID layer, the
+A :class:`HiveServer2` is long-lived and serves many queries, possibly at
+once. It owns what outlives a query: the metastore-backed ACID layer, the
 (optional) LLAP daemon, the query result cache, storage handlers, and the
-optimizer, and drives every query through the paper's preparation pipeline:
+configuration. It drives every query through the paper's preparation
+pipeline:
 
     feature gate → result-cache probe → MV rewriting → multi-stage
     optimization → dynamic semijoin reduction → shared-work merge →
     physical compilation (Spark/Catalyst) → execution → cache fill,
 
 with query reoptimization (§4.2) wrapped around the plan/run pair when a
-retryable execution error surfaces. The ``EngineConfig`` switches let the
-same driver impersonate Hive v1.2, v3.1-on-containers, and v3.1+LLAP for
-the §7 experiments.
+retryable execution error surfaces. What one query sets up while it runs
+(runtime Bloom filters, an MV rebuild's WriteId floors, the container
+allocation, persisted shared subtrees) lives in a per-query
+:class:`_HS2ExecutionContext`, never on the server, so concurrent queries
+cannot see each other's state. The ``EngineConfig`` switches let the same
+driver impersonate Hive v1.2, v3.1-on-containers, and v3.1+LLAP for the §7
+experiments. Call :meth:`HiveServer2.close` (or use the server as a context
+manager) to stop the LLAP daemon's executors.
 """
 from __future__ import annotations
 
+import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
-from pyspark.sql import types as T
 
 from repro.bloom import BloomFilter
 from repro.core.cache import QueryResultCache
 from repro.core.compile import compile_plan
 from repro.core.context import infer_columns
-from repro.core.cost import CostModel
 from repro.core.expr import Expr
 from repro.core.features import EngineConfig
 from repro.core.mv import choose_rewrite, is_fresh, merge_aggregate_states, normalize_spja
 from repro.core.optimizer import Optimizer, OptimizerContext, default_stages, v12_stages
-from repro.core.plan import Aggregate, ForeignQuery, Plan, Scan
-from repro.core.reopt import ExecutionError, ReoptimizingExecutor
+from repro.core.plan import Filter, ForeignQuery, Plan, Scan
+from repro.core.reopt import ReoptimizingExecutor
 from repro.core.semijoin import ReductionReport, apply_reduction
 from repro.core.sharedwork import find_shared_subtrees, merge_equivalent_scans
 from repro.druid import TIME_COL
 from repro.federation.handler import StorageHandler
 from repro.llap import LlapCache, LlapDaemon
-from repro.metastore import (
-    Column,
-    HiveMetastore,
-    MaterializedView,
-    Table,
-    collect_stats,
-)
+from repro.metastore import HiveMetastore, MaterializedView, Table
 from repro.storage import AcidReader, AcidWriter, Compactor
-from repro.storage.reader import spark_type
+from repro.storage.reader import spark_schema
 
 __all__ = ["QuerySpec", "ExecutionReport", "HiveServer2"]
 
@@ -75,40 +74,54 @@ class ExecutionReport:
 
 
 class _HS2ExecutionContext:
-    """Execution context: routes scans to LLAP / container / handlers."""
+    """The execution state of one query on a long-lived server.
 
-    def __init__(self, server: "HiveServer2"):
+    Built fresh for each ``execute()`` attempt and each internal
+    ``_run_plan()`` call, and dropped when it ends. It holds the query's
+    runtime Bloom filters (registered by the semijoin reducer), the
+    read-only WriteId floors of an incremental MV rebuild (§4.4), whether
+    the query has paid container allocation, and the shared-work subtrees
+    it persisted (§4.5), which :meth:`run` releases once the result is
+    collected. Scans route to a storage handler, the LLAP daemon, or the
+    ACID snapshot reader (container mode).
+    """
+
+    def __init__(self, server: "HiveServer2", wid_floors: dict[str, int] | None = None):
         self.server = server
+        self._wid_floors = dict(wid_floors or {})
         self._container_started = False
         # per-scan runtime-filter sets (semijoin Blooms), id → {col: bloom}
         self._bloom_registry: dict[int, dict[str, BloomFilter]] = {}
-        self._next_bloom_id = 0
-        self.wid_floors: dict[str, int] = {}
-
-    def begin_query(self) -> None:
-        self._container_started = False
-        self._bloom_registry = {}
-        self._next_bloom_id = 0
+        # persisted shared subtrees, fingerprint → DataFrame
+        self._shared: dict[str, DataFrame] = {}
 
     # called by the semijoin reducer; the returned id goes on the Scan node
     def register_runtime_blooms(self, blooms: dict[str, object]) -> int:
-        self._next_bloom_id += 1
-        self._bloom_registry[self._next_bloom_id] = dict(blooms)
-        return self._next_bloom_id
+        rid = len(self._bloom_registry) + 1
+        self._bloom_registry[rid] = dict(blooms)
+        return rid
+
+    def run(self, plan: Plan, shared: set[str] | None = None) -> pd.DataFrame:
+        """Compile and execute ``plan``, computing the subtrees whose
+        fingerprints are in ``shared`` once; unpersist them afterwards."""
+        try:
+            return compile_plan(plan, self, shared, self._shared).toPandas()
+        finally:
+            for df in self._shared.values():
+                df.unpersist(blocking=True)
+            self._shared.clear()
 
     def collect_values(self, plan, column: str) -> list | None:
         """Semijoin fast path: evaluate a small Scan/Filter-chain dimension
         subexpression daemon-side (vectorized pandas) instead of launching
         an engine job. Returns None when the shape or mode doesn't fit —
         the reducer then falls back to compiling the subplan."""
-        from repro.core.plan import Filter as _Filter
-
         s = self.server
         if not (s.config.llap and s.daemon is not None):
             return None
         conds = []
         node = plan
-        while isinstance(node, _Filter):
+        while isinstance(node, Filter):
             conds.append(node.cond)
             node = node.child
         if not isinstance(node, Scan):
@@ -132,12 +145,6 @@ class _HS2ExecutionContext:
             return None  # unsupported expression form → engine fallback
         return pdf[column].dropna().unique().tolist()
 
-    def _schema_for(self, table: Table, cols: list[str]) -> T.StructType:
-        by_name = {c.name: c.dtype for c in table.columns}
-        return T.StructType(
-            [T.StructField(c, spark_type(by_name[c])) for c in cols]
-        )
-
     def resolve_scan(self, scan: Scan) -> DataFrame:
         s = self.server
         table = s.hms.get_table(scan.table)
@@ -151,7 +158,7 @@ class _HS2ExecutionContext:
 
         cols = list(scan.columns) if scan.columns is not None else table.column_names()
         partitions = list(scan.partitions) if scan.partitions is not None else None
-        floor = self.wid_floors.get(scan.table, 0)
+        floor = self._wid_floors.get(scan.table, 0)
 
         if s.config.llap and s.daemon is not None:
             pdf = s.daemon.scan_table(
@@ -162,9 +169,10 @@ class _HS2ExecutionContext:
                 runtime_blooms=self._bloom_registry.get(scan.runtime_filter_id),
                 wid_floor=floor,
             )
+            schema = spark_schema(table, cols)
             if pdf.empty:
-                return s.spark.createDataFrame([], self._schema_for(table, cols))
-            return s.spark.createDataFrame(pdf, self._schema_for(table, cols))
+                return s.spark.createDataFrame([], schema)
+            return s.spark.createDataFrame(pdf, schema)
 
         # container mode: pay YARN allocation once per query, no caches
         if not self._container_started:
@@ -180,21 +188,15 @@ class _HS2ExecutionContext:
         return df
 
     def resolve_foreign(self, fq: ForeignQuery) -> DataFrame:
-        import json
-
-        handler = self.server.handlers[fq.handler]
+        s = self.server
+        handler = s.handlers[fq.handler]
         pdf = handler.execute_query(fq.table, json.loads(fq.query_repr))
-        pdf = pdf[list(fq.schema)]
+        pdf = pdf[list(fq.schema)]  # column order per the plan's schema
         if pdf.empty:
             # empty frames carry object dtypes — build the schema explicitly
-            table = self.server.hms.get_table(fq.table)
-            by_name = {c.name: c.dtype for c in table.columns}
-            fields = [
-                T.StructField(c, spark_type(by_name.get(c, "double")))
-                for c in fq.schema
-            ]
-            return self.server.spark.createDataFrame([], T.StructType(fields))
-        return self.server.spark.createDataFrame(pdf)
+            schema = spark_schema(s.hms.get_table(fq.table), list(fq.schema))
+            return s.spark.createDataFrame([], schema)
+        return s.spark.createDataFrame(pdf)
 
 
 class HiveServer2:
@@ -224,9 +226,19 @@ class HiveServer2:
         )
         self.result_cache = QueryResultCache(self.hms)
         self.handlers: dict[str, StorageHandler] = {}
-        self.exec_ctx = _HS2ExecutionContext(self)
         # test hook: callable(plan, result_pdf) that may raise ExecutionError
         self.failure_injector = None
+
+    def close(self) -> None:
+        """Shut down the LLAP daemon's executors. Idempotent."""
+        if self.daemon is not None:
+            self.daemon.shutdown()
+
+    def __enter__(self) -> "HiveServer2":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- DDL ---------------------------------------------------------------
 
@@ -390,11 +402,9 @@ class HiveServer2:
         ):
             mode = "incremental"
             t = changed[0]
-            self.exec_ctx.wid_floors = {t: view.snapshot.get(t, 0)}
-            try:
-                delta = self._run_plan(view.definition)
-            finally:
-                self.exec_ctx.wid_floors = {}
+            delta = self._run_plan(
+                view.definition, wid_floors={t: view.snapshot.get(t, 0)}
+            )
             old = self._run_plan(Scan(name))
             contents = merge_aggregate_states(
                 old, delta, list(norm.keys), list(norm.aggs)
@@ -432,14 +442,16 @@ class HiveServer2:
                 plan = push_to_druid(plan, self.hms, handler)
         return plan
 
-    def _run_plan(self, plan: Plan) -> pd.DataFrame:
-        """Internal execution without caching/rewriting (DDL paths)."""
+    def _run_plan(
+        self, plan: Plan, wid_floors: dict[str, int] | None = None
+    ) -> pd.DataFrame:
+        """Internal execution without caching/rewriting (DDL paths).
+        ``wid_floors`` keeps only rows above a table's WriteId floor."""
         ctx = OptimizerContext.for_metastore(self.hms)
         stages = default_stages() if self.config.cbo else v12_stages()
         optimized = Optimizer(ctx, stages).optimize(plan)
         optimized = self._push_to_handlers(optimized)
-        self.exec_ctx.begin_query()
-        return compile_plan(optimized, self.exec_ctx).toPandas()
+        return _HS2ExecutionContext(self, wid_floors).run(optimized)
 
     def execute(self, query: QuerySpec | Plan) -> ExecutionReport:
         if isinstance(query, Plan):
@@ -469,8 +481,11 @@ class HiveServer2:
             executor = ReoptimizingExecutor(strategy=self.config.reopt_strategy)
             if self.config.reopt_strategy == "off":
                 executor.max_executions = 1
+            query_ctx = None  # the current attempt's context
 
             def plan_fn(overrides: dict, run_config: dict) -> Plan:
+                nonlocal query_ctx
+                query_ctx = _HS2ExecutionContext(self)
                 ctx = OptimizerContext.for_metastore(self.hms, overrides)
                 plan = query.plan
                 if self.config.mv_rewriting:
@@ -480,9 +495,8 @@ class HiveServer2:
                 stages = default_stages() if self.config.cbo else v12_stages()
                 plan = Optimizer(ctx, stages).optimize(plan)
                 plan = self._push_to_handlers(plan)
-                self.exec_ctx.begin_query()
                 if self.config.semijoin_reduction:
-                    plan, report.semijoin = apply_reduction(plan, ctx, self.exec_ctx)
+                    plan, report.semijoin = apply_reduction(plan, ctx, query_ctx)
                 return plan
 
             def run_fn(plan: Plan, run_config: dict) -> pd.DataFrame:
@@ -497,8 +511,7 @@ class HiveServer2:
                     shared = set()
                 report.shared_subtrees = len(shared)
                 report.final_plan = plan
-                df = compile_plan(plan, self.exec_ctx, shared)
-                result = df.toPandas()
+                result = query_ctx.run(plan, shared)
                 if self.failure_injector is not None:
                     self.failure_injector(plan, result)
                 return result

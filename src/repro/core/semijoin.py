@@ -157,13 +157,14 @@ def find_opportunities(plan: Plan, ctx, max_build_rows: float = 50_000) -> list[
 
 
 def apply_reduction(
-    plan: Plan, ctx, exec_ctx, opportunities: list[SemijoinOpportunity] | None = None
+    plan: Plan, ctx, query_ctx, opportunities: list[SemijoinOpportunity] | None = None
 ) -> tuple[Plan, ReductionReport]:
     """Evaluate each opportunity's dimension side and rewrite the fact scans.
 
-    ``exec_ctx`` is the execution context used to run the dimension
+    ``query_ctx`` is the query's execution context: it runs the dimension
     subplans (they are compiled and collected — dimension sides are small by
-    construction). Returns the rewritten plan plus a report.
+    construction) and holds the runtime Blooms the rewritten scans refer
+    to. Returns the rewritten plan plus a report.
     """
     report = ReductionReport()
     if opportunities is None:
@@ -181,10 +182,10 @@ def apply_reduction(
         key = (opp.source_plan.fingerprint(), opp.source_column)
         if key not in seen:
             vals = None
-            if hasattr(exec_ctx, "collect_values"):
-                vals = exec_ctx.collect_values(opp.source_plan, opp.source_column)
+            if hasattr(query_ctx, "collect_values"):
+                vals = query_ctx.collect_values(opp.source_plan, opp.source_column)
             if vals is None:
-                df = compile_plan(opp.source_plan, exec_ctx)
+                df = compile_plan(opp.source_plan, query_ctx)
                 vals = [
                     r[0] for r in df.select(opp.source_column).distinct().collect()
                 ]
@@ -242,9 +243,9 @@ def apply_reduction(
                 )
                 if rf.n_values:
                     scan_blooms[opp.target_column] = rf
-        if scan_blooms and hasattr(exec_ctx, "register_runtime_blooms"):
+        if scan_blooms and hasattr(query_ctx, "register_runtime_blooms"):
             new = replace(
-                new, runtime_filter_id=exec_ctx.register_runtime_blooms(scan_blooms)
+                new, runtime_filter_id=query_ctx.register_runtime_blooms(scan_blooms)
             )
         return new
 

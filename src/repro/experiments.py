@@ -81,7 +81,6 @@ def table1_llap(
         ),
         hms=hms,
     )
-    tpcds_lite.load_into(container, sf=sf)
     llap = HiveServer2(
         spark,
         str(workdir / "wh"),
@@ -89,15 +88,16 @@ def table1_llap(
         hms=hms,
     )
 
-    qs = tpcds_lite.queries()
     per_query = []
     totals = {"container": 0.0, "llap": 0.0}
-    for q in qs:
-        tc = _timed(container, q, runs)
-        tl = _timed(llap, q, runs)
-        totals["container"] += tc
-        totals["llap"] += tl
-        per_query.append({"query": q.name, "container_s": tc, "llap_s": tl})
+    with container, llap:
+        tpcds_lite.load_into(container, sf=sf)
+        for q in tpcds_lite.queries():
+            tc = _timed(container, q, runs)
+            tl = _timed(llap, q, runs)
+            totals["container"] += tc
+            totals["llap"] += tl
+            per_query.append({"query": q.name, "container_s": tc, "llap_s": tl})
     return {
         "experiment": "table1_llap",
         "sf": sf,
@@ -131,38 +131,14 @@ def fig7_versions(
         EngineConfig.v1_2(container_startup_s=CONTAINER_STARTUP_S),
         hms=hms,
     )
-    tpcds_lite.load_into(v12, sf=sf)
     v31 = HiveServer2(
         spark,
         str(workdir / "wh"),
         EngineConfig.v3_1(container_startup_s=0.0, result_cache=False),
         hms=hms,
     )
-
-    rows = []
-    total_v12_supported = 0.0
-    total_v31_supported = 0.0
-    total_v31_all = 0.0
-    speedups = []
-    for q in tpcds_lite.queries():
-        t31 = _timed(v31, q, runs)
-        total_v31_all += t31
-        try:
-            t12 = _timed(v12, q, runs)
-        except UnsupportedSQLError:
-            rows.append({"query": q.name, "v12_s": None, "v31_s": t31, "speedup": None})
-            continue
-        total_v12_supported += t12
-        total_v31_supported += t31
-        speedups.append(t12 / max(t31, 1e-9))
-        rows.append(
-            {"query": q.name, "v12_s": t12, "v31_s": t31, "speedup": t12 / max(t31, 1e-9)}
-        )
-
     # the shared-work ablation: the q88-shaped query with the optimizer
-    # on vs off on the same v3.1 server
-    q88 = next(q for q in tpcds_lite.queries() if q.name == "q07_q88_shape")
-    t_shared = _timed(v31, q88, runs)
+    # on vs off over the same data
     no_shared = HiveServer2(
         spark,
         str(workdir / "wh"),
@@ -171,7 +147,32 @@ def fig7_versions(
         ),
         hms=hms,
     )
-    t_unshared = _timed(no_shared, q88, runs)
+
+    rows = []
+    total_v12_supported = 0.0
+    total_v31_supported = 0.0
+    total_v31_all = 0.0
+    speedups = []
+    with v12, v31, no_shared:
+        tpcds_lite.load_into(v12, sf=sf)
+        for q in tpcds_lite.queries():
+            t31 = _timed(v31, q, runs)
+            total_v31_all += t31
+            try:
+                t12 = _timed(v12, q, runs)
+            except UnsupportedSQLError:
+                rows.append({"query": q.name, "v12_s": None, "v31_s": t31, "speedup": None})
+                continue
+            total_v12_supported += t12
+            total_v31_supported += t31
+            speedups.append(t12 / max(t31, 1e-9))
+            rows.append(
+                {"query": q.name, "v12_s": t12, "v31_s": t31, "speedup": t12 / max(t31, 1e-9)}
+            )
+
+        q88 = next(q for q in tpcds_lite.queries() if q.name == "q07_q88_shape")
+        t_shared = _timed(v31, q88, runs)
+        t_unshared = _timed(no_shared, q88, runs)
 
     n_supported = sum(1 for r in rows if r["v12_s"] is not None)
     return {
@@ -221,20 +222,18 @@ def fig8_druid(
         hs2.create_materialized_view(f"ssb_mv_{tag}", ssb.mv_definition(), store_in=store_in)
         return hs2
 
-    native = build("native", "native")
-    druid = build("druid", "druid")
-
     rows = []
     totals = {"native": 0.0, "druid": 0.0}
-    for q in ssb.queries():
-        tn = _timed(native, q, runs)
-        td = _timed(druid, q, runs)
-        # both arms must actually answer from their MV
-        assert native.execute(q).mv_used == "ssb_mv_native"
-        assert druid.execute(q).mv_used == "ssb_mv_druid"
-        totals["native"] += tn
-        totals["druid"] += td
-        rows.append({"query": q.name, "hive_mv_s": tn, "hive_druid_s": td})
+    with build("native", "native") as native, build("druid", "druid") as druid:
+        for q in ssb.queries():
+            tn = _timed(native, q, runs)
+            td = _timed(druid, q, runs)
+            # both arms must actually answer from their MV
+            assert native.execute(q).mv_used == "ssb_mv_native"
+            assert druid.execute(q).mv_used == "ssb_mv_druid"
+            totals["native"] += tn
+            totals["druid"] += td
+            rows.append({"query": q.name, "hive_mv_s": tn, "hive_druid_s": td})
     return {
         "experiment": "fig8_druid",
         "sf": sf,

@@ -1,10 +1,9 @@
 """Federation layer: storage handlers and Calcite-style pushdown (§6)."""
-from .handler import DruidStorageHandler, FederatedContext, StorageHandler
+from .handler import DruidStorageHandler, StorageHandler
 from .pushdown import push_to_druid, translate_to_druid_query
 
 __all__ = [
     "DruidStorageHandler",
-    "FederatedContext",
     "StorageHandler",
     "push_to_druid",
     "translate_to_druid_query",

@@ -13,20 +13,13 @@ metadata, as in the paper's first DDL example — while a table created with
 explicit columns defines a new datasource whose ingestion spec is derived
 from the schema (``__time`` timestamp, string columns → dimensions, numeric
 columns → sum metrics).
-
-:class:`FederatedContext` is the execution-context decorator that routes
-foreign scans and pushed-down :class:`~repro.core.plan.ForeignQuery` nodes
-to their handlers while delegating native scans to the wrapped context.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.plan import ForeignQuery, Scan
 from repro.druid import (
     COUNT_METRIC,
     TIME_COL,
@@ -35,9 +28,9 @@ from repro.druid import (
     MetricSpec,
     execute_query,
 )
-from repro.metastore import Column, HiveMetastore, Table
+from repro.metastore import Column, Table
 
-__all__ = ["StorageHandler", "DruidStorageHandler", "FederatedContext"]
+__all__ = ["StorageHandler", "DruidStorageHandler"]
 
 
 class StorageHandler:
@@ -152,45 +145,3 @@ class DruidStorageHandler(StorageHandler):
     def execute_query(self, table: str, query: dict) -> pd.DataFrame:
         ds = self.datasource_for(table)
         return self.deserialize(execute_query(ds, query))
-
-
-@dataclass
-class FederatedContext:
-    """ExecutionContext decorator adding storage-handler routing."""
-
-    spark: SparkSession
-    hms: HiveMetastore
-    delegate: object  # inner ExecutionContext for native tables
-    handlers: dict[str, StorageHandler] = field(default_factory=dict)
-
-    def register(self, handler: StorageHandler) -> None:
-        self.handlers[handler.name] = handler
-        self.hms.register_hook(handler.name, handler)
-
-    def resolve_scan(self, scan: Scan) -> DataFrame:
-        table = self.hms.get_table(scan.table)
-        if table.storage_handler in self.handlers:
-            handler = self.handlers[table.storage_handler]
-            pdf = handler.input_format(table)
-            df = self.spark.createDataFrame(pdf)
-            if scan.columns is not None:
-                df = df.select(*scan.columns)
-            return df
-        return self.delegate.resolve_scan(scan)
-
-    def resolve_foreign(self, fq: ForeignQuery) -> DataFrame:
-        handler = self.handlers[fq.handler]
-        pdf = handler.execute_query(fq.table, json.loads(fq.query_repr))
-        pdf = pdf[list(fq.schema)]  # column order per the plan's schema
-        if pdf.empty:
-            from pyspark.sql import types as T
-
-            from repro.storage.reader import spark_type
-
-            by_name = {c.name: c.dtype for c in self.hms.get_table(fq.table).columns}
-            fields = [
-                T.StructField(c, spark_type(by_name.get(c, "double")))
-                for c in fq.schema
-            ]
-            return self.spark.createDataFrame([], T.StructType(fields))
-        return self.spark.createDataFrame(pdf)

@@ -59,8 +59,17 @@ def spark_type(dtype: str) -> T.DataType:
     }[d]
 
 
-def spark_schema(table: Table, include_hidden: bool = False) -> T.StructType:
-    fields = [T.StructField(c.name, spark_type(c.dtype)) for c in table.columns]
+def spark_schema(
+    table: Table, columns: list[str] | None = None, include_hidden: bool = False
+) -> T.StructType:
+    """Spark schema of ``columns`` (default: all) of ``table``, in order.
+
+    A column the table does not have is typed double: the output aliases
+    of an aggregate pushed down to a storage handler are not table columns.
+    """
+    dtypes = {c.name: c.dtype for c in table.columns}
+    names = table.column_names() if columns is None else columns
+    fields = [T.StructField(c, spark_type(dtypes.get(c, "double"))) for c in names]
     if include_hidden:
         fields += [T.StructField(h, T.LongType()) for h in HIDDEN_COLS]
     return T.StructType(fields)
@@ -168,7 +177,7 @@ class AcidReader:
         proj = list(out_cols) + ([] if not include_hidden else list(HIDDEN_COLS))
 
         if not data_files:
-            schema = spark_schema(table, include_hidden)
+            schema = spark_schema(table, include_hidden=include_hidden)
             empty = self.spark.createDataFrame([], schema)
             return empty.select(*proj)
 

@@ -6,17 +6,14 @@ import pandas as pd
 import pytest
 
 from repro.core.compile import compile_plan
-from repro.core.context import PandasContext
+from repro.core.context import infer_columns
 from repro.core.expr import AggCall, And, Col, Func, InList, col
+from repro.core.features import EngineConfig
+from repro.core.hs2 import HiveServer2, _HS2ExecutionContext
 from repro.core.plan import Aggregate, Filter, ForeignQuery, Limit, Scan, Sort
 from repro.druid import TIME_COL, DruidCluster, DruidDatasource, MetricSpec
-from repro.federation import (
-    DruidStorageHandler,
-    FederatedContext,
-    push_to_druid,
-    translate_to_druid_query,
-)
-from repro.metastore import HiveMetastore, Table
+from repro.federation import DruidStorageHandler, push_to_druid, translate_to_druid_query
+from repro.metastore import Table
 from repro.oracle import assert_equivalent
 
 
@@ -33,26 +30,31 @@ def raw_events(n=2000, seed=9):
 
 
 @pytest.fixture
-def fed(spark):
-    hms = HiveMetastore()
-    inner = PandasContext(spark, hms)
-    fc = FederatedContext(spark, hms, inner)
+def fed(spark, tmp_path):
+    """A HiveServer2 with a registered Druid storage handler."""
     handler = DruidStorageHandler(DruidCluster())
-    fc.register(handler)
-    # a datasource already living in Druid
-    handler.cluster.add(
-        DruidDatasource.ingest(
-            "my_druid_source",
-            raw_events(),
-            time_column=TIME_COL,
-            dimensions=["d1"],
-            metrics=[MetricSpec("doubleSum", "m1", "m1")],
+    config = EngineConfig.v3_1(container_startup_s=0.0)
+    with HiveServer2(spark, str(tmp_path / "wh"), config) as hs2:
+        hs2.register_handler(handler)
+        # a datasource already living in Druid
+        handler.cluster.add(
+            DruidDatasource.ingest(
+                "my_druid_source",
+                raw_events(),
+                time_column=TIME_COL,
+                dimensions=["d1"],
+                metrics=[MetricSpec("doubleSum", "m1", "m1")],
+            )
         )
-    )
-    return fc, handler
+        yield hs2, handler
 
 
-def register_external(fed_ctx):
+def add_native(hs2, name, pdf):
+    hs2.create_table(Table(name, infer_columns(pdf)))
+    hs2.insert(name, pdf)
+
+
+def register_external(hs2):
     """CREATE EXTERNAL TABLE druid_table_1 STORED BY 'Druid...'
     TBLPROPERTIES ('druid.datasource' = 'my_druid_source')."""
     t = Table(
@@ -62,26 +64,26 @@ def register_external(fed_ctx):
         properties={"druid.datasource": "my_druid_source"},
         is_acid=False,
     )
-    fed_ctx.hms.create_table(t)
+    hs2.create_table(t)
     return t
 
 
 class TestHandlers:
     def test_schema_inferred_from_druid_metadata(self, fed):
-        fc, _ = fed
-        t = register_external(fc)
+        hs2, _ = fed
+        t = register_external(hs2)
         names = t.column_names()
         assert TIME_COL in names and "d1" in names and "m1" in names
         assert dict((c.name, c.dtype) for c in t.columns)["m1"] == "double"
 
     def test_scan_reads_through_input_format(self, fed):
-        fc, handler = fed
-        register_external(fc)
-        df = fc.resolve_scan(Scan("druid_table_1"))
+        hs2, handler = fed
+        register_external(hs2)
+        df = _HS2ExecutionContext(hs2).resolve_scan(Scan("druid_table_1"))
         assert df.count() == handler.cluster.get("my_druid_source").n_rows
 
     def test_output_format_creates_datasource(self, fed):
-        fc, handler = fed
+        hs2, handler = fed
         t = Table(
             name="druid_table_2",
             columns=[],
@@ -89,7 +91,7 @@ class TestHandlers:
             properties={"druid.dimensions": "d1"},
             is_acid=False,
         )
-        fc.hms.create_table(t)
+        hs2.hms.create_table(t)
         handler.output_format(t, raw_events(100))
         assert "druid_table_2" in handler.cluster
         ds = handler.cluster.get("druid_table_2")
@@ -97,16 +99,16 @@ class TestHandlers:
         assert [m.name for m in ds.metrics] == ["m1"]
 
     def test_ingestion_requires_time_column(self, fed):
-        fc, handler = fed
+        hs2, handler = fed
         t = Table("bad", [], storage_handler="druid", is_acid=False)
-        fc.hms.create_table(t)
+        hs2.hms.create_table(t)
         with pytest.raises(ValueError, match="__time"):
             handler.output_format(t, pd.DataFrame({"x": [1]}))
 
     def test_native_tables_still_delegate(self, fed):
-        fc, _ = fed
-        fc.delegate.add("native_t", pd.DataFrame({"a": [1, 2, 3]}))
-        assert fc.resolve_scan(Scan("native_t")).count() == 3
+        hs2, _ = fed
+        add_native(hs2, "native_t", pd.DataFrame({"a": [1, 2, 3]}))
+        assert _HS2ExecutionContext(hs2).resolve_scan(Scan("native_t")).count() == 3
 
 
 def figure6_plan():
@@ -134,9 +136,9 @@ def figure6_plan():
 
 class TestPushdown:
     def test_figure6_json_shape(self, fed):
-        fc, handler = fed
-        register_external(fc)
-        q = translate_to_druid_query(figure6_plan(), fc.hms, handler)
+        hs2, handler = fed
+        register_external(hs2)
+        q = translate_to_druid_query(figure6_plan(), hs2.hms, handler)
         assert q["queryType"] == "groupBy"
         assert q["dataSource"] == "my_druid_source"
         assert q["granularity"] == "all"
@@ -151,15 +153,15 @@ class TestPushdown:
         assert q["intervals"] == ["2017-01-01T00:00:00.000/2019-01-01T00:00:00.000"]
 
     def test_whole_plan_becomes_foreign_query(self, fed):
-        fc, handler = fed
-        register_external(fc)
-        out = push_to_druid(figure6_plan(), fc.hms, handler)
+        hs2, handler = fed
+        register_external(hs2)
+        out = push_to_druid(figure6_plan(), hs2.hms, handler)
         assert isinstance(out, ForeignQuery)
         assert out.schema == ("d1", "s")
 
     def test_pushdown_result_matches_oracle(self, fed):
-        fc, handler = fed
-        register_external(fc)
+        hs2, handler = fed
+        register_external(hs2)
         plan = Aggregate(
             Filter(
                 Scan("druid_table_1"),
@@ -172,8 +174,8 @@ class TestPushdown:
             ("d1",),
             (AggCall("sum", col("m1"), "s"), AggCall("count_star", None, "c")),
         )
-        out = push_to_druid(plan, fc.hms, handler)
-        df = compile_plan(out, fc)
+        out = push_to_druid(plan, hs2.hms, handler)
+        df = compile_plan(out, _HS2ExecutionContext(hs2))
         # oracle over the raw (pre-rollup) events
         raw = raw_events()
         assert_equivalent(
@@ -185,48 +187,67 @@ class TestPushdown:
         )
 
     def test_selector_and_bound_filters_translate(self, fed):
-        fc, handler = fed
-        register_external(fc)
+        hs2, handler = fed
+        register_external(hs2)
         plan = Filter(Scan("druid_table_1"), col("d1").eq("x"))
-        q = translate_to_druid_query(plan, fc.hms, handler)
+        q = translate_to_druid_query(plan, hs2.hms, handler)
         assert q["queryType"] == "scan"
         assert q["filter"] == {"type": "selector", "dimension": "d1", "value": "x"}
 
     def test_metric_filter_not_pushed_below_scan(self, fed):
         """A filter on a metric cannot fold; the scan alone is pushed and
         the filter stays in the Hive plan."""
-        fc, handler = fed
-        register_external(fc)
+        hs2, handler = fed
+        register_external(hs2)
         plan = Filter(Scan("druid_table_1"), col("m1").gt(0.5))
-        out = push_to_druid(plan, fc.hms, handler)
+        out = push_to_druid(plan, hs2.hms, handler)
         assert isinstance(out, Filter)
         assert isinstance(out.child, ForeignQuery)
         assert json.loads(out.child.query_repr)["queryType"] == "scan"
 
     def test_avg_not_pushed(self, fed):
-        fc, handler = fed
-        register_external(fc)
+        hs2, handler = fed
+        register_external(hs2)
         plan = Aggregate(
             Scan("druid_table_1"), ("d1",), (AggCall("avg", col("m1"), "a"),)
         )
-        out = push_to_druid(plan, fc.hms, handler)
+        out = push_to_druid(plan, hs2.hms, handler)
         assert isinstance(out, Aggregate)  # agg stays; scan pushed below
         assert isinstance(out.child, ForeignQuery)
 
     def test_non_druid_table_untouched(self, fed):
-        fc, _ = fed
-        fc.delegate.add("plain", pd.DataFrame({"a": [1]}))
+        hs2, _ = fed
+        add_native(hs2, "plain", pd.DataFrame({"a": [1]}))
         plan = Filter(Scan("plain"), col("a").eq(1))
-        out = push_to_druid(plan, fc.hms, fc.handlers["druid"])
+        out = push_to_druid(plan, hs2.hms, hs2.handlers["druid"])
         assert out == plan
+
+    def test_empty_pushdown_result_is_typed(self, fed):
+        """An empty Druid answer gets table types, and double for an
+        aggregate alias that is not a table column."""
+        hs2, handler = fed
+        register_external(hs2)
+        plan = Aggregate(
+            Filter(Scan("druid_table_1"), col("d1").eq("none")),
+            ("d1",),
+            (AggCall("sum", col("m1"), "s"),),
+        )
+        out = push_to_druid(plan, hs2.hms, handler)
+        assert isinstance(out, ForeignQuery)
+        df = compile_plan(out, _HS2ExecutionContext(hs2))
+        assert df.count() == 0
+        assert [(f.name, f.dataType.simpleString()) for f in df.schema] == [
+            ("d1", "string"),
+            ("s", "double"),
+        ]
 
     def test_count_star_counts_raw_rows_after_rollup(self, fed):
         """Roll-up collapses rows; pushed COUNT(*) must still count raw."""
-        fc, handler = fed
-        register_external(fc)
+        hs2, handler = fed
+        register_external(hs2)
         plan = Aggregate(
             Scan("druid_table_1"), (), (AggCall("count_star", None, "c"),)
         )
-        out = push_to_druid(plan, fc.hms, handler)
-        df = compile_plan(out, fc)
+        out = push_to_druid(plan, hs2.hms, handler)
+        df = compile_plan(out, _HS2ExecutionContext(hs2))
         assert df.collect()[0]["c"] == 2000
