@@ -5,8 +5,12 @@ Immutable dataclass nodes with three backends:
 * ``to_spark()`` — a PySpark ``Column`` (execution via Catalyst);
 * ``to_sql()``  — ANSI-ish SQL accepted by DuckDB (the correctness oracle)
   and by "JDBC" federation targets;
-* ``evaluate(row)`` / ``evaluate_vector(pdf)`` — direct evaluation, used by
-  the LLAP I/O elevator (row-group skipping) and the mini-Druid engine.
+* ``evaluate_vector(pdf)`` — vectorized pandas evaluation, used where a
+  scan is served from pandas: the semijoin fast path over LLAP scans and
+  the SET expressions of UPDATE.
+
+The optimizer's constant folding and partition pruning apply one operator
+to two literals through :func:`apply_op`.
 
 Column names are assumed globally unique across the tables of a query
 (true for TPC-H/TPC-DS/SSB-style schemas); self-joins must rename first.
@@ -14,10 +18,10 @@ Column names are assumed globally unique across the tables of a query
 from __future__ import annotations
 
 import datetime as _dt
+import operator as _op
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import Column
 from pyspark.sql import functions as F
@@ -41,10 +45,15 @@ __all__ = [
     "FALSE",
     "NON_DETERMINISTIC_FUNCS",
     "RUNTIME_CONSTANT_FUNCS",
+    "apply_op",
 ]
 
-_CMP_OPS = {"=", "!=", "<", "<=", ">", ">="}
-_ARITH_OPS = {"+", "-", "*", "/"}
+# the binary operators; they apply alike to scalars, pandas and Spark columns
+_OPS = {
+    "=": _op.eq, "!=": _op.ne, "<": _op.lt, "<=": _op.le,
+    ">": _op.gt, ">=": _op.ge, "+": _op.add, "-": _op.sub,
+    "*": _op.mul, "/": _op.truediv,
+}
 
 # §4.3: queries containing these cannot populate the result cache.
 NON_DETERMINISTIC_FUNCS = {"rand"}
@@ -111,6 +120,11 @@ class Expr:
         return BinOp("/", self, _wrap(other))
 
 
+def apply_op(op: str, l, r):
+    """``l op r`` on two scalars; NULL if either side is NULL."""
+    return None if l is None or r is None else _OPS[op](l, r)
+
+
 def _wrap(v) -> Expr:
     return v if isinstance(v, Expr) else Lit(v)
 
@@ -151,9 +165,6 @@ class Col(Expr):
     def to_sql(self) -> str:
         return self.name
 
-    def evaluate(self, row) -> object:
-        return row[self.name]
-
     def evaluate_vector(self, pdf: pd.DataFrame):
         return pdf[self.name]
 
@@ -170,9 +181,6 @@ class Lit(Expr):
 
     def to_sql(self) -> str:
         return _sql_literal(self.value)
-
-    def evaluate(self, row):
-        return self.value
 
     def evaluate_vector(self, pdf):
         return self.value
@@ -194,7 +202,7 @@ class BinOp(Expr):
     right: Expr
 
     def __post_init__(self):
-        if self.op not in _CMP_OPS | _ARITH_OPS:
+        if self.op not in _OPS:
             raise ValueError(f"unknown operator {self.op!r}")
 
     def children(self):
@@ -204,28 +212,11 @@ class BinOp(Expr):
         return BinOp(self.op, self.left.substitute(mapping), self.right.substitute(mapping))
 
     def to_spark(self) -> Column:
-        l, r = self.left.to_spark(), self.right.to_spark()
-        return {
-            "=": l == r, "!=": l != r, "<": l < r, "<=": l <= r,
-            ">": l > r, ">=": l >= r, "+": l + r, "-": l - r,
-            "*": l * r, "/": l / r,
-        }[self.op]
+        return _OPS[self.op](self.left.to_spark(), self.right.to_spark())
 
     def to_sql(self) -> str:
         op = "<>" if self.op == "!=" else self.op
         return f"({self.left.to_sql()} {op} {self.right.to_sql()})"
-
-    def evaluate(self, row):
-        l, r = self.left.evaluate(row), self.right.evaluate(row)
-        if l is None or r is None:
-            return None
-        import operator as _op
-
-        return {
-            "=": _op.eq, "!=": _op.ne, "<": _op.lt, "<=": _op.le,
-            ">": _op.gt, ">=": _op.ge, "+": _op.add, "-": _op.sub,
-            "*": _op.mul, "/": _op.truediv,
-        }[self.op](l, r)
 
     def evaluate_vector(self, pdf):
         l = self.left.evaluate_vector(pdf)
@@ -234,13 +225,7 @@ class BinOp(Expr):
             l, r = _coerce_for_cmp(l, r)
         elif isinstance(r, pd.Series) and not isinstance(l, pd.Series):
             r, l = _coerce_for_cmp(r, l)
-        import operator as _op
-
-        return {
-            "=": _op.eq, "!=": _op.ne, "<": _op.lt, "<=": _op.le,
-            ">": _op.gt, ">=": _op.ge, "+": _op.add, "-": _op.sub,
-            "*": _op.mul, "/": _op.truediv,
-        }[self.op](l, r)
+        return _OPS[self.op](l, r)
 
 
 @dataclass(frozen=True, eq=True, repr=True)
@@ -270,9 +255,6 @@ class And(Expr):
 
     def to_sql(self) -> str:
         return "(" + " AND ".join(a.to_sql() for a in self.args) + ")"
-
-    def evaluate(self, row):
-        return all(bool(a.evaluate(row)) for a in self.args)
 
     def evaluate_vector(self, pdf):
         out = self.args[0].evaluate_vector(pdf)
@@ -309,9 +291,6 @@ class Or(Expr):
     def to_sql(self) -> str:
         return "(" + " OR ".join(a.to_sql() for a in self.args) + ")"
 
-    def evaluate(self, row):
-        return any(bool(a.evaluate(row)) for a in self.args)
-
     def evaluate_vector(self, pdf):
         out = self.args[0].evaluate_vector(pdf)
         for a in self.args[1:]:
@@ -335,9 +314,6 @@ class Not(Expr):
     def to_sql(self) -> str:
         return f"(NOT {self.arg.to_sql()})"
 
-    def evaluate(self, row):
-        return not bool(self.arg.evaluate(row))
-
     def evaluate_vector(self, pdf):
         return ~self.arg.evaluate_vector(pdf)
 
@@ -359,9 +335,6 @@ class InList(Expr):
     def to_sql(self) -> str:
         vals = ", ".join(_sql_literal(v) for v in self.values)
         return f"({self.arg.to_sql()} IN ({vals}))"
-
-    def evaluate(self, row):
-        return self.arg.evaluate(row) in self.values
 
     def evaluate_vector(self, pdf):
         s = self.arg.evaluate_vector(pdf)
@@ -389,10 +362,6 @@ class IsNull(Expr):
     def to_sql(self) -> str:
         suffix = "IS NOT NULL" if self.negated else "IS NULL"
         return f"({self.arg.to_sql()} {suffix})"
-
-    def evaluate(self, row):
-        v = self.arg.evaluate(row)
-        return (v is not None) if self.negated else (v is None)
 
     def evaluate_vector(self, pdf):
         s = self.arg.evaluate_vector(pdf)
@@ -434,15 +403,6 @@ class Func(Expr):
         if n in ("current_date", "current_timestamp"):
             return n.upper()
         raise ValueError(f"unsupported function {n!r}")
-
-    def evaluate(self, row):
-        if self.name in ("year", "month", "day"):
-            v = self.args[0].evaluate(row)
-            if v is None:
-                return None
-            v = pd.Timestamp(v)
-            return {"year": v.year, "month": v.month, "day": v.day}[self.name]
-        raise ValueError(f"cannot evaluate {self.name!r} outside the engine")
 
     def evaluate_vector(self, pdf):
         if self.name in ("year", "month", "day"):

@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
@@ -53,12 +55,11 @@ __all__ = ["QuerySpec", "ExecutionReport", "HiveServer2"]
 
 @dataclass(frozen=True)
 class QuerySpec:
-    """A workload query: plan + required SQL features (+ oracle SQL)."""
+    """A workload query: plan + required SQL features."""
 
     name: str
     plan: Plan
     features: frozenset[str] = frozenset()
-    oracle_sql: str | None = None
 
 
 @dataclass
@@ -216,10 +217,7 @@ class HiveServer2:
         self.compactor = Compactor(self.hms, self.warehouse)
         self.daemon = (
             LlapDaemon(
-                self.hms,
-                self.warehouse,
-                n_executors=self.config.n_executors,
-                cache=LlapCache(self.config.llap_cache_bytes),
+                self.hms, self.warehouse, cache=LlapCache(self.config.llap_cache_bytes)
             )
             if self.config.llap
             else None
@@ -251,15 +249,22 @@ class HiveServer2:
 
     # -- DML (each statement is one transaction, §3.2) ---------------------
 
-    def insert(self, table: str, pdf: pd.DataFrame) -> int:
+    @contextmanager
+    def _transaction(self) -> Iterator[int]:
+        """Open a transaction; commit it when the block succeeds, abort it
+        and re-raise when the block fails. A commit that loses a write
+        conflict has already aborted itself."""
         txn = self.hms.txns.open_txn()
         try:
-            wid = self.writer.insert(txn, table, pdf)
-            self.hms.txns.commit(txn)
-            return wid
+            yield txn
         except Exception:
             self.hms.txns.abort(txn)
             raise
+        self.hms.txns.commit(txn)
+
+    def insert(self, table: str, pdf: pd.DataFrame) -> int:
+        with self._transaction() as txn:
+            return self.writer.insert(txn, table, pdf)
 
     def _victims(self, table: str, cond: Expr) -> pd.DataFrame:
         df = self.reader.scan(table, include_hidden=True)
@@ -267,15 +272,10 @@ class HiveServer2:
 
     def delete_where(self, table: str, cond: Expr) -> int:
         victims = self._victims(table, cond)
-        txn = self.hms.txns.open_txn()
-        try:
+        with self._transaction() as txn:
             wid = self.writer.delete(txn, table, victims)
-            self.hms.txns.commit(txn)
-            self._mark_views_non_incremental(table)
-            return wid
-        except Exception:
-            self.hms.txns.abort(txn)
-            raise
+        self._mark_views_non_incremental(table)
+        return wid
 
     def update_where(self, table: str, cond: Expr, set_exprs: dict[str, Expr]) -> int:
         victims = self._victims(table, cond)
@@ -283,15 +283,10 @@ class HiveServer2:
         for c, e in set_exprs.items():
             new_rows[c] = e.evaluate_vector(new_rows)
         cols = self.hms.get_table(table).column_names()
-        txn = self.hms.txns.open_txn()
-        try:
+        with self._transaction() as txn:
             wid = self.writer.update(txn, table, victims, new_rows[cols])
-            self.hms.txns.commit(txn)
-            self._mark_views_non_incremental(table)
-            return wid
-        except Exception:
-            self.hms.txns.abort(txn)
-            raise
+        self._mark_views_non_incremental(table)
+        return wid
 
     def merge(
         self,
@@ -307,9 +302,8 @@ class HiveServer2:
         target = self.reader.scan(table, include_hidden=True).toPandas()
         cols = self.hms.get_table(table).column_names()
         matched = target.merge(source, on=on, how="inner", suffixes=("", "__src"))
-        txn = self.hms.txns.open_txn()
-        try:
-            wid = None
+        wid = None
+        with self._transaction() as txn:
             if len(matched) and update_cols:
                 updated = matched.copy()
                 for c in update_cols:
@@ -320,13 +314,9 @@ class HiveServer2:
                 unmatched = source[~source[on].isin(target[on])]
                 if len(unmatched):
                     wid = self.writer.insert(txn, table, unmatched[cols])
-            self.hms.txns.commit(txn)
-            if update_cols:
-                self._mark_views_non_incremental(table)
-            return wid if wid is not None else 0
-        except Exception:
-            self.hms.txns.abort(txn)
-            raise
+        if update_cols:
+            self._mark_views_non_incremental(table)
+        return wid if wid is not None else 0
 
     def _mark_views_non_incremental(self, table: str) -> None:
         for v in self.hms.views():
@@ -448,7 +438,7 @@ class HiveServer2:
         """Internal execution without caching/rewriting (DDL paths).
         ``wid_floors`` keeps only rows above a table's WriteId floor."""
         ctx = OptimizerContext.for_metastore(self.hms)
-        stages = default_stages() if self.config.cbo else v12_stages()
+        stages = v12_stages() if self.config.legacy else default_stages()
         optimized = Optimizer(ctx, stages).optimize(plan)
         optimized = self._push_to_handlers(optimized)
         return _HS2ExecutionContext(self, wid_floors).run(optimized)
@@ -478,9 +468,9 @@ class HiveServer2:
 
         report = ExecutionReport(result=pd.DataFrame())
         try:
-            executor = ReoptimizingExecutor(strategy=self.config.reopt_strategy)
-            if self.config.reopt_strategy == "off":
-                executor.max_executions = 1
+            executor = ReoptimizingExecutor(
+                strategy="off" if self.config.legacy else "reoptimize"
+            )
             query_ctx = None  # the current attempt's context
 
             def plan_fn(overrides: dict, run_config: dict) -> Plan:
@@ -488,14 +478,14 @@ class HiveServer2:
                 query_ctx = _HS2ExecutionContext(self)
                 ctx = OptimizerContext.for_metastore(self.hms, overrides)
                 plan = query.plan
-                if self.config.mv_rewriting:
+                if not self.config.legacy:
                     plan, report.mv_used = choose_rewrite(
                         plan, self.hms, ctx.cost, now=time.time()
                     )
-                stages = default_stages() if self.config.cbo else v12_stages()
+                stages = v12_stages() if self.config.legacy else default_stages()
                 plan = Optimizer(ctx, stages).optimize(plan)
                 plan = self._push_to_handlers(plan)
-                if self.config.semijoin_reduction:
+                if not self.config.legacy:
                     plan, report.semijoin = apply_reduction(plan, ctx, query_ctx)
                 return plan
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.expr import And, BinOp, Col, Expr
+from repro.core.expr import Expr
 from repro.core.plan import Filter, Join, Plan, output_columns
 from repro.core.rules import conjuncts, make_conjunction
 
@@ -58,15 +58,6 @@ def flatten_join_tree(plan: Plan) -> _JoinGraph | None:
 
 def _rel_columns(rel: Plan, catalog) -> set[str]:
     return set(output_columns(rel, catalog))
-
-
-def _is_join_pred(p: Expr) -> bool:
-    return (
-        isinstance(p, BinOp)
-        and p.op == "="
-        and isinstance(p.left, Col)
-        and isinstance(p.right, Col)
-    )
 
 
 def reorder_joins(plan: Plan, ctx) -> Plan:
@@ -121,10 +112,6 @@ def _search(relations: list[Plan], predicates: list[Expr], ctx) -> Plan:
     if rest:
         result = Filter(result, make_conjunction(rest))
     return result
-
-
-def _applicable(preds, used_mask_cols: set[str]) -> list[Expr]:
-    return [p for p in preds if p.columns() <= used_mask_cols]
 
 
 def _join_of(left: Plan, right: Plan, lcols: set[str], rcols: set[str], preds) -> tuple[Plan, list[Expr]]:

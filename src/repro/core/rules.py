@@ -24,6 +24,7 @@ from repro.core.expr import (
     Not,
     Or,
     TRUE,
+    apply_op,
 )
 from repro.core.plan import (
     Aggregate,
@@ -77,8 +78,7 @@ def _fold_expr(e: Expr) -> Expr:
         l, r = _fold_expr(e.left), _fold_expr(e.right)
         if isinstance(l, Lit) and isinstance(r, Lit):
             try:
-                v = BinOp(e.op, l, r).evaluate({})
-                return Lit(v)
+                return Lit(apply_op(e.op, l.value, r.value))
             except Exception:
                 return BinOp(e.op, l, r)
         return BinOp(e.op, l, r)
@@ -282,7 +282,7 @@ def _partition_matches(value_str: str, pred: Expr, pcol: str) -> bool:
             return True
         v = coerce(pred.right.value)
         try:
-            return bool(BinOp(pred.op, Lit(v), pred.right).evaluate({}))
+            return bool(apply_op(pred.op, v, pred.right.value))
         except TypeError:
             return True
     if isinstance(pred, InList) and isinstance(pred.arg, Col) and pred.arg.name == pcol:

@@ -95,22 +95,3 @@ def rollup(
         **{name: spec for name, spec in agg_spec.items()}
     )
     return grouped
-
-
-def segment_intervals(
-    times: pd.Series, granularity: str = "month"
-) -> list[tuple[pd.Timestamp, pd.Timestamp]]:
-    """The segment boundaries covering ``times`` at the given granularity."""
-    t = pd.to_datetime(times)
-    offsets = {"day": "D", "month": "MS", "year": "YS"}
-    freq = offsets[granularity]
-    starts = sorted(set(_truncate(t, granularity)))
-    out = []
-    for s in starts:
-        nxt = (
-            s + pd.Timedelta(days=1)
-            if granularity == "day"
-            else (s + pd.offsets.MonthBegin(1) if granularity == "month" else s + pd.offsets.YearBegin(1))
-        )
-        out.append((s, nxt))
-    return out

@@ -9,8 +9,9 @@ daemon could serve any fragment after a failure.
 ``scan_table`` is the LLAP fast path used by the HS2 execution context: it
 resolves the snapshot's visible files exactly like the container-mode
 reader, but reads them through the elevator (row-group skipping + cache)
-and applies delete tombstones in pandas — small delete deltas are merged
-in memory, the paper's observation about the anti-join side staying tiny.
+and merges them in pandas (:func:`~repro.storage.layout.visible_rows`) —
+small delete deltas are merged in memory, the paper's observation about
+the anti-join side staying tiny.
 
 Container-vs-LLAP modelling: a daemon is always warm. Container mode pays
 ``container_startup_s`` per query for YARN container allocation (slept in
@@ -31,7 +32,7 @@ from repro.llap.cache import LlapCache
 from repro.llap.elevator import IOElevator
 from repro.metastore import HiveMetastore, ValidWriteIdList
 from repro.storage import AcidReader
-from repro.storage.layout import HIDDEN_COLS, WRITEID_COL, drop_deleted
+from repro.storage.layout import HIDDEN_COLS, visible_rows
 
 __all__ = ["LlapDaemon"]
 
@@ -102,16 +103,11 @@ class LlapDaemon:
         if not frames:
             return pd.DataFrame(columns=out_cols)
         data = pd.concat(frames, ignore_index=True)
-
-        # row-level WriteId visibility (compacted multi-write deltas)
-        data = data[wids.valid_mask(data[WRITEID_COL])]
-        if wid_floor:
-            data = data[data[WRITEID_COL] > wid_floor]
-
-        # apply delete tombstones in memory — delete deltas are small
-        if delete_files:
-            tombs = pd.concat(
-                [pd.read_parquet(f) for f in delete_files], ignore_index=True
-            )
-            data = drop_deleted(data, tombs[wids.valid_mask(tombs[WRITEID_COL])])
+        # delete deltas are small: apply them in memory
+        tombs = (
+            pd.concat([pd.read_parquet(f) for f in delete_files], ignore_index=True)
+            if delete_files
+            else None
+        )
+        data = visible_rows(data, tombs, wids, wid_floor)
         return data[list(out_cols)].reset_index(drop=True)

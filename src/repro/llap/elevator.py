@@ -19,7 +19,8 @@ Pushdown semantics:
 from __future__ import annotations
 
 import datetime as _dt
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import pandas as pd
@@ -39,6 +40,10 @@ class ElevatorStats:
     row_groups_skipped_minmax: int = 0
     row_groups_skipped_bloom: int = 0
     rows_filtered_by_runtime_bloom: int = 0
+
+    def add(self, other: "ElevatorStats") -> None:
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 def _overlaps(mm: tuple, op: str, v) -> bool:
@@ -93,8 +98,15 @@ def _group_survives(
 
 @dataclass
 class IOElevator:
+    """Reads files for the daemon's executor threads. Each read counts into
+    its own :class:`ElevatorStats` and adds it to :attr:`stats` once, under
+    a lock, so concurrent reads lose no counts."""
+
     cache: LlapCache
     stats: ElevatorStats = field(default_factory=ElevatorStats)
+    _stats_lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
 
     def read_file(
         self,
@@ -110,41 +122,46 @@ class IOElevator:
         """
         f = str(file)
         preds = list(pushed_filters or [])
-        meta = self.cache.get_meta(f)
-        self.stats.row_groups_total += len(meta.row_groups)
-        selected = [g for g in meta.row_groups if _group_survives(g, preds, self.stats)]
-        if not selected:
-            return None
-        self.stats.row_groups_read += len(selected)
+        stats = ElevatorStats()  # this read's counts, added to self.stats once
+        try:
+            meta = self.cache.get_meta(f)
+            stats.row_groups_total += len(meta.row_groups)
+            selected = [g for g in meta.row_groups if _group_survives(g, preds, stats)]
+            if not selected:
+                return None
+            stats.row_groups_read += len(selected)
 
-        # figure out which chunks are missing, load the file once if any
-        missing: list[tuple[RowGroupMeta, str]] = []
-        have: dict[tuple[int, str], pd.Series] = {}
-        for g in selected:
-            for c in columns:
-                key = ChunkKey(f, g.start, c)
-                s = self.cache.get_chunk(key)
-                if s is None:
-                    missing.append((g, c))
-                else:
+            # figure out which chunks are missing, load the file once if any
+            missing: list[tuple[RowGroupMeta, str]] = []
+            have: dict[tuple[int, str], pd.Series] = {}
+            for g in selected:
+                for c in columns:
+                    key = ChunkKey(f, g.start, c)
+                    s = self.cache.get_chunk(key)
+                    if s is None:
+                        missing.append((g, c))
+                    else:
+                        have[(g.start, c)] = s
+            if missing:
+                full = pd.read_parquet(f, columns=columns)
+                for g, c in missing:
+                    s = full[c].iloc[g.start : g.start + g.n_rows].reset_index(drop=True)
+                    self.cache.put_chunk(ChunkKey(f, g.start, c), s)
                     have[(g.start, c)] = s
-        if missing:
-            full = pd.read_parquet(f, columns=columns)
-            for g, c in missing:
-                s = full[c].iloc[g.start : g.start + g.n_rows].reset_index(drop=True)
-                self.cache.put_chunk(ChunkKey(f, g.start, c), s)
-                have[(g.start, c)] = s
 
-        frames = []
-        for g in selected:
-            frames.append(
-                pd.DataFrame({c: have[(g.start, c)] for c in columns})
-            )
-        pdf = pd.concat(frames, ignore_index=True)
-        return self._apply_runtime_blooms(pdf, runtime_blooms)
+            frames = []
+            for g in selected:
+                frames.append(
+                    pd.DataFrame({c: have[(g.start, c)] for c in columns})
+                )
+            pdf = pd.concat(frames, ignore_index=True)
+            return self._apply_runtime_blooms(pdf, runtime_blooms, stats)
+        finally:
+            with self._stats_lock:
+                self.stats.add(stats)
 
     def _apply_runtime_blooms(
-        self, pdf: pd.DataFrame, blooms: dict[str, object] | None
+        self, pdf: pd.DataFrame, blooms: dict[str, object] | None, stats: ElevatorStats
     ) -> pd.DataFrame:
         """Row-level semijoin filters: either a plain :class:`BloomFilter`
         (per-row probes, what real Hive ships) or a
@@ -159,6 +176,6 @@ class IOElevator:
                 mask = flt.apply(pdf[colname])
             else:
                 mask = pdf[colname].map(flt.might_contain)
-            self.stats.rows_filtered_by_runtime_bloom += int((~mask).sum())
+            stats.rows_filtered_by_runtime_bloom += int((~mask).sum())
             pdf = pdf[mask]
         return pdf.reset_index(drop=True)

@@ -6,29 +6,37 @@ everything into a new ``base`` directory, applying tombstones and dropping
 aborted rows — "deleting history". Compaction never blocks queries: the
 merge phase writes new directories beside the old ones, and the *cleaning*
 phase (a separate call) removes the superseded directories afterwards, so
-in-flight scans pinned to the old file lists finish untouched.
+in-flight scans pinned to the old file lists finish untouched. Between the
+two phases, readers — and any further compaction — see only the current
+directories: :func:`~repro.storage.layout.select_dirs` skips every
+directory that a base or a wider delta covers.
 
-Only WriteIds below the smallest still-open WriteId for the table are
-compacted, so an uncommitted write can never be baked into a base.
+The compactor reads exactly what a snapshot of the table sees when it is
+capped one below the table's oldest open WriteId, so an uncommitted write
+can never be baked into a base or a merged delta.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import shutil
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import pandas as pd
+import pyarrow.parquet as pq
 
-from repro.metastore import HiveMetastore
+from repro.metastore import HiveMetastore, ValidWriteIdList
 from repro.storage.layout import (
+    AcidDir,
     DirKind,
-    WRITEID_COL,
     base_dir,
     bloom_columns,
     bucket_file,
     delete_delta_dir,
     delta_dir,
-    drop_deleted,
     list_acid_dirs,
+    parse_acid_dir,
+    select_dirs,
+    visible_rows,
     write_data_file,
 )
 
@@ -41,6 +49,20 @@ class CompactionDecision:
     partition: str
     kind: str  # 'minor' | 'major' | None
     reason: str = ""
+
+
+def _files(dirs: list[AcidDir]) -> list[Path]:
+    return [f for d in dirs for f in sorted(d.path.glob("*.parquet"))]
+
+
+def _read(dirs: list[AcidDir]) -> pd.DataFrame | None:
+    frames = [pd.read_parquet(f) for f in _files(dirs)]
+    return pd.concat(frames, ignore_index=True) if frames else None
+
+
+def _num_rows(dirs: list[AcidDir]) -> int:
+    """Row count from the Parquet footers, without reading the data."""
+    return sum(pq.read_metadata(f).num_rows for f in _files(dirs))
 
 
 @dataclass
@@ -58,63 +80,63 @@ class Compactor:
 
     # -- helpers ----------------------------------------------------------
 
-    def _part_path(self, table: str, partition: str) -> Path:
-        return self.warehouse / table / partition if partition else self.warehouse / table
+    def _select(
+        self, table: str, partition: str
+    ) -> tuple[Path, ValidWriteIdList, list[AcidDir], list[AcidDir]]:
+        """The partition's path, the compaction snapshot (capped below the
+        oldest open writer) and the (data_dirs, delete_dirs) it reads."""
+        txns = self.hms.txns
+        wids = txns.valid_write_ids(txns.snapshot(), table)
+        open_wids = txns.open_write_ids(table)
+        if open_wids:
+            wids = replace(wids, high_watermark=min(open_wids) - 1)
+        path = self.warehouse / table / partition if partition else self.warehouse / table
+        return (path, wids, *select_dirs(list_acid_dirs(path), wids))
 
-    def _compaction_ceiling(self, table: str) -> int:
-        """Highest WriteId safe to compact: below any open writer."""
-        open_wids = self.hms.txns.open_write_ids(table)
-        hwm = self.hms.txns.valid_write_ids(
-            self.hms.txns.snapshot(), table
-        ).high_watermark
-        return min(open_wids) - 1 if open_wids else hwm
-
-    def _valid_rows(self, dirs, table: str, ceiling: int) -> pd.DataFrame | None:
-        """Concatenate committed rows (drop aborted) from eligible dirs."""
-        wids = self.hms.txns.valid_write_ids(self.hms.txns.snapshot(), table)
-        frames = []
-        for d in dirs:
-            for f in sorted(d.path.glob("*.parquet")):
-                pdf = pd.read_parquet(f)
-                w = pdf[WRITEID_COL]
-                pdf = pdf[wids.valid_mask(w) & (w <= ceiling)]
-                if len(pdf):
-                    frames.append(pdf)
-        if not frames:
-            return None
-        return pd.concat(frames, ignore_index=True)
-
-    def _write_dir(self, dir_path: Path, pdf: pd.DataFrame, table: str) -> None:
-        write_data_file(
-            dir_path / bucket_file(0),
-            pdf,
-            self.row_group_rows,
-            bloom_columns(self.hms.get_table(table)),
-        )
+    def _merge(
+        self,
+        out: Path,
+        rows: pd.DataFrame | None,
+        tombs: pd.DataFrame | None,
+        wids: ValidWriteIdList,
+        table: str,
+        kinds: tuple[str, ...],
+    ) -> None:
+        """Write the rows ``wids`` sees, minus ``tombs``, to ``out``; mark
+        obsolete every other directory of ``kinds`` that ``out``'s WriteId
+        range covers."""
+        if rows is not None:
+            write_data_file(
+                out / bucket_file(0),
+                visible_rows(rows, tombs, wids),
+                self.row_group_rows,
+                bloom_columns(self.hms.get_table(table)),
+            )
+        _, wmin, wmax = parse_acid_dir(out.name)
+        self._obsolete += [
+            d.path
+            for d in list_acid_dirs(out.parent)
+            if d.kind in kinds and wmin <= d.wmin and d.wmax <= wmax and d.path != out
+        ]
 
     # -- compaction --------------------------------------------------------
 
     def minor_compact(self, table: str, partition: str = "") -> bool:
-        """Merge eligible insert deltas into one delta (and delete deltas
-        into one delete delta), preserving every row's identity triple so
-        existing tombstones keep matching. Returns True if anything merged."""
-        path = self._part_path(table, partition)
-        ceiling = self._compaction_ceiling(table)
-        dirs = list_acid_dirs(path)
+        """Merge the snapshot's insert deltas into one delta (and its delete
+        deltas into one delete delta), preserving every row's identity
+        triple so existing tombstones keep matching. Returns True if
+        anything merged."""
+        path, wids, data, deletes = self._select(table, partition)
         merged_any = False
-        for kind, make_dir in (
-            (DirKind.DELTA, delta_dir),
-            (DirKind.DELETE_DELTA, delete_delta_dir),
+        for kind, dirs, make_dir in (
+            (DirKind.DELTA, [d for d in data if d.kind == DirKind.DELTA], delta_dir),
+            (DirKind.DELETE_DELTA, deletes, delete_delta_dir),
         ):
-            eligible = [d for d in dirs if d.kind == kind and d.wmax <= ceiling]
-            if len(eligible) < 2:
+            if len(dirs) < 2:
                 continue
-            rows = self._valid_rows(eligible, table, ceiling)
-            wmin = min(d.wmin for d in eligible)
-            wmax = max(d.wmax for d in eligible)
-            if rows is not None:
-                self._write_dir(path / make_dir(wmin, wmax), rows, table)
-            self._obsolete += [d.path for d in eligible]
+            # select_dirs orders them by wmin and keeps wmax increasing
+            out = path / make_dir(dirs[0].wmin, dirs[-1].wmax)
+            self._merge(out, _read(dirs), None, wids, table, (kind,))
             merged_any = True
         return merged_any
 
@@ -123,35 +145,18 @@ class Compactor:
 
         Aborted and deleted history disappears, shrinking every future
         snapshot's invalid-WriteId set — the paper's reason (iii)."""
-        path = self._part_path(table, partition)
-        ceiling = self._compaction_ceiling(table)
-        dirs = list_acid_dirs(path)
-        data_dirs = [
-            d
-            for d in dirs
-            if d.kind in (DirKind.BASE, DirKind.DELTA) and d.wmax <= ceiling
-        ]
-        delete_dirs = [
-            d for d in dirs if d.kind == DirKind.DELETE_DELTA and d.wmax <= ceiling
-        ]
-        if not data_dirs:
-            return False
-        rows = self._valid_rows(data_dirs, table, ceiling)
-        wmax = max(d.wmax for d in data_dirs + delete_dirs)
-        if rows is not None:
-            tombs = self._valid_rows(delete_dirs, table, ceiling)
-            if tombs is not None:
-                rows = drop_deleted(rows, tombs)
-            self._write_dir(path / base_dir(wmax), rows, table)
-        self._obsolete += [d.path for d in data_dirs + delete_dirs]
+        path, wids, data, deletes = self._select(table, partition)
+        if all(d.kind == DirKind.BASE for d in data + deletes):
+            return False  # nothing beyond the current base
+        out = path / base_dir(max(d.wmax for d in data + deletes))
+        kinds = (DirKind.BASE, DirKind.DELTA, DirKind.DELETE_DELTA)
+        self._merge(out, _read(data), _read(deletes), wids, table, kinds)
         return True
 
     # -- cleaning (separate phase so in-flight queries finish, §3.2) ------
 
     def clean(self) -> int:
         """Remove superseded directories; returns how many were removed."""
-        import shutil
-
         n = 0
         for p in self._obsolete:
             if p.exists():
@@ -163,25 +168,17 @@ class Compactor:
     # -- automatic triggering ---------------------------------------------
 
     def maybe_compact(self, table: str) -> list[CompactionDecision]:
-        """HS2-style threshold check per partition: many deltas → minor;
-        large delta:base row ratio → major. Executes what it decides."""
+        """HS2-style threshold check per partition over the directories the
+        compaction snapshot reads: many deltas → minor; large delta:base row
+        ratio → major. Executes what it decides."""
         t = self.hms.get_table(table)
         partitions = self.hms.partitions(table) if t.partitioned_by else [""]
         out = []
         for part in partitions:
-            path = self._part_path(table, part)
-            dirs = list_acid_dirs(path)
-            deltas = [d for d in dirs if d.kind == DirKind.DELTA]
-            bases = [d for d in dirs if d.kind == DirKind.BASE]
-            delta_rows = sum(
-                sum(pd.read_parquet(f).shape[0] for f in d.path.glob("*.parquet"))
-                for d in deltas
-            )
-            base_rows = sum(
-                sum(pd.read_parquet(f).shape[0] for f in d.path.glob("*.parquet"))
-                for d in bases
-            )
-            if bases and base_rows and delta_rows / base_rows > self.major_delta_ratio:
+            _, _, data, _ = self._select(table, part)
+            deltas = [d for d in data if d.kind == DirKind.DELTA]
+            base_rows = _num_rows([d for d in data if d.kind == DirKind.BASE])
+            if base_rows and _num_rows(deltas) / base_rows > self.major_delta_ratio:
                 self.major_compact(table, part)
                 out.append(CompactionDecision(table, part, "major", "delta/base ratio"))
             elif len(deltas) >= self.minor_delta_threshold:

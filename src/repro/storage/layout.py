@@ -17,6 +17,12 @@ that knows the file format: writer and compactor go through
 :func:`write_data_file`, the LLAP metadata cache through
 :func:`read_file_meta`.
 
+It is also the one home of snapshot selection. :func:`select_dirs` decides
+which directories a :class:`~repro.metastore.txn.ValidWriteIdList` reads —
+the snapshot reader, the LLAP daemon and the compactor all call it — and
+:func:`visible_rows` is the one pandas merge-on-read (the Spark reader's
+lazy filter and anti-join are its engine-side twin).
+
 Hidden columns stored in every ACID data file: ``__writeid``, ``__fileid``,
 ``__rowid`` — their combination uniquely identifies a record (§3.2). Delete
 deltas store tombstones referencing that triple. Partition column values are
@@ -36,6 +42,7 @@ import pandas as pd
 import pyarrow.parquet as pq
 
 from repro.bloom import BloomFilter
+from repro.metastore import ValidWriteIdList
 
 __all__ = [
     "WRITEID_COL",
@@ -53,12 +60,13 @@ __all__ = [
     "bucket_file",
     "parse_acid_dir",
     "list_acid_dirs",
+    "select_dirs",
     "RowGroupMeta",
     "FileMeta",
     "bloom_columns",
     "write_data_file",
     "read_file_meta",
-    "drop_deleted",
+    "visible_rows",
 ]
 
 WRITEID_COL = "__writeid"
@@ -137,6 +145,38 @@ def list_acid_dirs(partition_path: Path) -> list[AcidDir]:
             kind, wmin, wmax = parsed
             out.append(AcidDir(child, kind, wmin, wmax))
     return out
+
+
+def select_dirs(
+    dirs: list[AcidDir], wids: ValidWriteIdList
+) -> tuple[list[AcidDir], list[AcidDir]]:
+    """The (data_dirs, delete_dirs) a snapshot reads out of one partition.
+
+    The newest base at or below the high watermark, then per kind the
+    deltas in ``(wmin, -wmax)`` order, skipping — as Hive's
+    ``AcidUtils.getAcidState`` does — every delta whose ``wmax`` the base or
+    a wider delta already kept covers. Compaction leaves its inputs beside
+    its output until cleaning, so this is what makes every row read once
+    in between. Deltas wholly in the future, and single-write directories
+    whose WriteId is open or aborted, are skipped too (the directory-level
+    skip); multi-write directories are filtered per row by the caller.
+    """
+    hwm = wids.high_watermark
+    bases = [d for d in dirs if d.kind == DirKind.BASE and d.wmax <= hwm]
+    base = max(bases, key=lambda d: d.wmax, default=None)
+    data, deletes = ([base] if base else []), []
+    for kind, out in ((DirKind.DELTA, data), (DirKind.DELETE_DELTA, deletes)):
+        covered = base.wmax if base else 0
+        for d in sorted(
+            (d for d in dirs if d.kind == kind), key=lambda d: (d.wmin, -d.wmax)
+        ):
+            if d.wmax <= covered or d.wmin > hwm:
+                continue
+            if d.wmin == d.wmax and not wids.is_valid(d.wmin):
+                continue
+            out.append(d)
+            covered = d.wmax
+    return data, deletes
 
 
 # -- row-group metadata: Parquet footer + Bloom sidecar (ORC-index equivalent)
@@ -232,10 +272,22 @@ def read_file_meta(data_file: Path) -> FileMeta:
     return FileMeta(footer.num_rows, groups)
 
 
-def drop_deleted(rows: pd.DataFrame, tombs: pd.DataFrame) -> pd.DataFrame:
-    """Anti-join ``rows`` against delete-delta tombstones on the identity triple."""
-    t = tombs[list(DELETE_COLS)].rename(
-        columns=dict(zip(DELETE_COLS, HIDDEN_COLS))
-    ).drop_duplicates()
+def visible_rows(
+    rows: pd.DataFrame,
+    tombs: pd.DataFrame | None,
+    wids: ValidWriteIdList,
+    wid_floor: int = 0,
+) -> pd.DataFrame:
+    """Merge-on-read in pandas: keep the rows whose WriteId ``wids`` sees
+    (and, for incremental MV rebuilds, that lie above ``wid_floor``), then
+    anti-join them against the tombstones of valid deleters on the identity
+    triple."""
+    rows = rows[wids.valid_mask(rows[WRITEID_COL])]
+    if wid_floor:
+        rows = rows[rows[WRITEID_COL] > wid_floor]
+    if tombs is None or tombs.empty:
+        return rows
+    t = tombs[wids.valid_mask(tombs[WRITEID_COL])][list(DELETE_COLS)]
+    t = t.rename(columns=dict(zip(DELETE_COLS, HIDDEN_COLS))).drop_duplicates()
     rows = rows.merge(t, on=list(HIDDEN_COLS), how="left", indicator=True)
     return rows[rows["_merge"] == "left_only"].drop(columns="_merge")

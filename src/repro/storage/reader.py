@@ -3,10 +3,11 @@
 A scan is bound to a :class:`~repro.metastore.txn.ValidWriteIdList` at
 compile time. The reader:
 
-1. picks, per partition, the newest visible ``base`` directory and every
-   delta directory above it, *discarding whole directories* whose single
-   WriteId is invisible (open/aborted/future) — the directory-level skip the
-   paper describes;
+1. picks, per partition, the directories the snapshot reads
+   (:func:`~repro.storage.layout.select_dirs`): the newest visible ``base``
+   and the deltas above it that no wider kept directory covers,
+   *discarding whole directories* whose single WriteId is invisible
+   (open/aborted/future) — the directory-level skip the paper describes;
 2. applies the row-level WriteId filter for multi-write (compacted) deltas;
 3. anti-joins the surviving rows against the visible delete-delta tombstones
    on the ``(writeid, fileid, rowid)`` identity triple.
@@ -27,11 +28,10 @@ from pyspark.sql import types as T
 from repro.metastore import HiveMetastore, Table, ValidWriteIdList
 from repro.storage.layout import (
     DELETE_COLS,
-    DirKind,
     HIDDEN_COLS,
     WRITEID_COL,
-    AcidDir,
     list_acid_dirs,
+    select_dirs,
 )
 
 __all__ = ["AcidReader", "spark_schema", "spark_type"]
@@ -81,34 +81,6 @@ class AcidReader:
         self.warehouse = Path(warehouse)
         self.spark = spark
 
-    # -- directory selection ----------------------------------------------
-
-    def _select_dirs(
-        self, part_path: Path, wids: ValidWriteIdList
-    ) -> tuple[list[AcidDir], list[AcidDir]]:
-        """Visible (data_dirs, delete_dirs) for one partition directory."""
-        dirs = list_acid_dirs(part_path)
-        bases = [
-            d for d in dirs if d.kind == DirKind.BASE and d.wmax <= wids.high_watermark
-        ]
-        best_base = max(bases, key=lambda d: d.wmax, default=None)
-        floor = best_base.wmax if best_base else 0
-
-        def dir_visible(d: AcidDir) -> bool:
-            if d.wmax <= floor:
-                return False  # superseded by the chosen base
-            if d.wmin > wids.high_watermark:
-                return False  # entirely in the future
-            if d.wmin == d.wmax and not wids.is_valid(d.wmin):
-                return False  # whole-directory skip: single open/aborted write
-            return True
-
-        data = ([best_base] if best_base else []) + [
-            d for d in dirs if d.kind == DirKind.DELTA and dir_visible(d)
-        ]
-        deletes = [d for d in dirs if d.kind == DirKind.DELETE_DELTA and dir_visible(d)]
-        return data, deletes
-
     def visible_files(
         self,
         table_name: str,
@@ -134,7 +106,7 @@ class AcidReader:
         data_files: list[str] = []
         delete_files: list[str] = []
         for p in part_paths:
-            data_dirs, delete_dirs = self._select_dirs(p, wids)
+            data_dirs, delete_dirs = select_dirs(list_acid_dirs(p), wids)
             for d in data_dirs:
                 data_files += [str(f) for f in sorted(d.path.glob("*.parquet"))]
             for d in delete_dirs:

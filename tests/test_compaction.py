@@ -1,6 +1,8 @@
 """Compaction (§3.2): minor/major merges, history deletion, safe cleaning."""
 import pandas as pd
+import pytest
 
+from repro.llap import LlapDaemon
 from repro.storage.layout import DirKind, list_acid_dirs
 from tests.conftest import rows
 
@@ -15,6 +17,10 @@ def kinds(acid, table, part):
 
 def scan_ks(acid, table="t"):
     return sorted(acid.reader.scan(table).toPandas()["k"].tolist())
+
+
+def scan_kv(pdf):
+    return pdf[["k", "v"]].values.tolist()
 
 
 class TestMinor:
@@ -155,3 +161,97 @@ class TestAutoTrigger:
         acid.run_insert("t", rows([1], [1.0], [10]))
         decisions = acid.compactor.maybe_compact("t")
         assert decisions[0].kind is None
+
+
+class TestBetweenMergeAndClean:
+    """Readers and further compactions that run after a merge phase but
+    before clean() see every committed row exactly once (§3.2)."""
+
+    @staticmethod
+    def expect(inserted):
+        return sorted(map(tuple, pd.concat(inserted)[["k", "v"]].values.tolist()))
+
+    @staticmethod
+    def via_spark(acid):
+        return sorted(map(tuple, scan_kv(acid.reader.scan("t").toPandas())))
+
+    @staticmethod
+    def via_llap(acid):
+        daemon = LlapDaemon(acid.hms, str(acid.warehouse))
+        try:
+            return sorted(map(tuple, scan_kv(daemon.scan_table("t"))))
+        finally:
+            daemon.shutdown()
+
+    def insert(self, acid, inserted, ks):
+        pdf = rows(ks, [k / 2 for k in ks], [10] * len(ks))
+        acid.run_insert("t", pdf)
+        inserted.append(pdf)
+
+    def test_minor_then_read_before_clean(self, acid):
+        inserted = []
+        self.insert(acid, inserted, [1])
+        self.insert(acid, inserted, [2])
+        assert acid.compactor.minor_compact("t", "p=10")
+        want = self.expect(inserted)
+        assert self.via_spark(acid) == want
+        assert self.via_llap(acid) == want
+        acid.compactor.clean()
+        assert self.via_spark(acid) == want
+        assert self.via_llap(acid) == want
+
+    @pytest.mark.parametrize(
+        "steps",
+        [
+            ["insert", "major", "insert", "major"],
+            ["insert", "insert", "minor", "major"],
+            ["insert", "minor", "insert", "insert", "minor", "major", "insert", "major"],
+        ],
+        ids=["major-major", "minor-major", "mixed"],
+    )
+    def test_compactions_without_clean(self, acid, steps):
+        inserted, next_k = [], 1
+        for step in steps:
+            if step == "insert":
+                ks = list(range(next_k, next_k + len(inserted) + 1))
+                next_k += len(ks)
+                self.insert(acid, inserted, ks)
+            else:
+                getattr(acid.compactor, f"{step}_compact")("t", "p=10")
+            assert self.via_spark(acid) == self.expect(inserted)
+        assert self.via_llap(acid) == self.expect(inserted)
+        acid.compactor.clean()
+        assert self.via_spark(acid) == self.expect(inserted)
+        assert self.via_llap(acid) == self.expect(inserted)
+        assert [d.kind for d in dirs_of(acid, "t", "p=10")] == [DirKind.BASE]
+
+    def test_second_maybe_compact_decides_nothing(self, acid):
+        inserted = []
+        for k in range(10):
+            self.insert(acid, inserted, [k])
+        assert [d.kind for d in acid.compactor.maybe_compact("t")] == ["minor"]
+        assert [d.kind for d in acid.compactor.maybe_compact("t")] == [None]
+        assert self.via_spark(acid) == self.expect(inserted)
+        assert acid.compactor.clean() == 10
+        assert kinds(acid, "t", "p=10") == [(DirKind.DELTA, 1, 10)]
+        assert self.via_spark(acid) == self.expect(inserted)
+        assert self.via_llap(acid) == self.expect(inserted)
+
+    def test_delete_deltas_merged_before_major(self, acid):
+        """Tombstones merged by a minor compaction still apply once, to the
+        base a later major compaction builds before anything is cleaned."""
+        inserted = []
+        self.insert(acid, inserted, [1, 2, 3, 4])
+        for k in (2, 3):
+            full = acid.reader.scan("t", include_hidden=True).toPandas()
+            t = acid.begin()
+            acid.writer.delete(t, "t", full[full["k"] == k])
+            acid.hms.txns.commit(t)
+        acid.compactor.minor_compact("t", "p=10")
+        acid.compactor.major_compact("t", "p=10")
+        want = [(1, 0.5), (4, 2.0)]
+        assert self.via_spark(acid) == want
+        assert self.via_llap(acid) == want
+        acid.compactor.clean()
+        assert kinds(acid, "t", "p=10") == [(DirKind.BASE, 0, 3)]
+        assert self.via_spark(acid) == want

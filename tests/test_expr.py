@@ -134,20 +134,6 @@ class TestVectorEval:
         assert s.tolist()[:3] == [2, 4, 6]
 
 
-class TestRowEval:
-    def test_binop(self):
-        assert col("a").add(col("b")).evaluate({"a": 1, "b": 2}) == 3
-
-    def test_null_propagation(self):
-        assert col("a").gt(1).evaluate({"a": None}) is None
-
-    def test_inlist(self):
-        assert col("a").isin(1, 2).evaluate({"a": 2})
-
-    def test_year(self):
-        assert Func("year", (col("d"),)).evaluate({"d": "2018-05-01"}) == 2018
-
-
 class TestSparkBackend:
     def test_matches_vector_backend(self, spark):
         pdf = pd.DataFrame({"a": [1, 2, 3, 4], "b": [1.0, 2.5, 0.5, 4.0]})

@@ -3,6 +3,7 @@ Bloom sidecar), Bloom filters."""
 import datetime
 import json
 import math
+from pathlib import Path
 
 import pandas as pd
 import pyarrow.parquet as pq
@@ -11,9 +12,10 @@ import pytest
 from repro.bloom import BloomFilter
 from repro.core.expr import col
 from repro.llap import IOElevator, LlapCache
-from repro.metastore import Column, HiveMetastore, Table
+from repro.metastore import Column, HiveMetastore, Table, ValidWriteIdList
 from repro.storage import AcidWriter, Compactor
 from repro.storage.layout import (
+    AcidDir,
     DirKind,
     base_dir,
     bucket_file,
@@ -23,6 +25,7 @@ from repro.storage.layout import (
     partition_key,
     partition_values_from_key,
     read_file_meta,
+    select_dirs,
     write_data_file,
 )
 
@@ -50,6 +53,52 @@ class TestNaming:
 
     def test_bucket_file(self):
         assert bucket_file(3) == "bucket_00003.parquet"
+
+
+def acid_dirs(*names: str) -> list[AcidDir]:
+    return [AcidDir(Path(n), *parse_acid_dir(n)) for n in names]
+
+
+def selected(names, hwm, invalid=()):
+    wids = ValidWriteIdList("t", hwm, frozenset(invalid))
+    data, deletes = select_dirs(acid_dirs(*names), wids)
+    return [d.path.name for d in data], [d.path.name for d in deletes]
+
+
+class TestSelectDirs:
+    """One snapshot-selection rule (Hive's ``getAcidState``) for the reader,
+    the LLAP daemon and the compactor."""
+
+    def test_base_supersedes_covered_deltas(self):
+        names = [base_dir(2), delta_dir(1, 1), delta_dir(2, 2), delta_dir(3, 3),
+                 delete_delta_dir(2, 2), delete_delta_dir(3, 3)]
+        assert selected(names, 3) == (
+            [base_dir(2), delta_dir(3, 3)], [delete_delta_dir(3, 3)]
+        )
+
+    def test_wider_delta_supersedes_narrower(self):
+        names = [delta_dir(1, 1), delta_dir(1, 2), delta_dir(2, 2), delta_dir(3, 3),
+                 delete_delta_dir(2, 2), delete_delta_dir(2, 3), delete_delta_dir(3, 3)]
+        assert selected(names, 3) == (
+            [delta_dir(1, 2), delta_dir(3, 3)], [delete_delta_dir(2, 3)]
+        )
+
+    def test_newest_base_at_or_below_watermark(self):
+        names = [base_dir(1), base_dir(2), base_dir(4), delta_dir(3, 3), delta_dir(4, 4)]
+        assert selected(names, 3) == ([base_dir(2), delta_dir(3, 3)], [])
+        assert selected(names, 4) == ([base_dir(4)], [])
+
+    def test_future_and_invalid_single_writes_skipped(self):
+        names = [delta_dir(1, 1), delta_dir(2, 2), delta_dir(3, 3), delta_dir(4, 6)]
+        assert selected(names, 3, invalid={2}) == ([delta_dir(1, 1), delta_dir(3, 3)], [])
+        # a multi-write delta reaching into the snapshot is read and
+        # filtered per row
+        assert selected(names, 5, invalid={2}) == (
+            [delta_dir(1, 1), delta_dir(3, 3), delta_dir(4, 6)], []
+        )
+
+    def test_empty(self):
+        assert selected([], 5) == ([], [])
 
 
 class TestPartitionKeys:

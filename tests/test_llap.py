@@ -1,6 +1,7 @@
 """LLAP substrate (§5.1): LRFU, chunk cache, I/O elevator, daemon scans."""
 import sys
 import threading
+from dataclasses import asdict
 
 import pandas as pd
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from repro.bloom import BloomFilter
 from repro.core.expr import Col, InList, col
 from repro.llap import ChunkKey, IOElevator, LlapCache, LlapDaemon, LRFUPolicy
-from repro.storage.layout import write_data_file
+from repro.storage.layout import bucket_file, write_data_file
 from tests.conftest import make_acid_env, rows
 
 
@@ -152,6 +153,50 @@ def indexed_file(tmp_path):
 
 
 class TestElevator:
+    def test_concurrent_reads_lose_no_counts(self, tmp_path):
+        """Executor threads share one elevator: its counters after reads on
+        4 threads equal those after the same reads on one thread."""
+        files = []
+        for i in range(4):
+            f = tmp_path / bucket_file(i)
+            ks = range(i * 2000, (i + 1) * 2000, 2)  # even keys, 50 per group
+            write_data_file(
+                f, pd.DataFrame({"k": ks, "v": [0.5] * 1000}), 50, bloom_cols=("k",)
+            )
+            files.append(str(f))
+        # min/max skips the groups with no listed key in range, the Bloom
+        # filters those whose only listed keys in range are odd ones; the
+        # runtime Bloom keeps multiples of 4
+        wanted = [*range(1, 8000, 200), *range(0, 8000, 400)]
+        preds = [col("k").lt(7000), col("k").isin(*wanted)]
+        runtime = {"k": BloomFilter.of(list(range(0, 8000, 4)))}
+        reads_per_thread = 6
+
+        def work(elevator):
+            for _ in range(reads_per_thread):
+                for f in files:
+                    elevator.read_file(f, ["k", "v"], preds, runtime)
+
+        serial = IOElevator(LlapCache())
+        for _ in range(4):
+            work(serial)
+        concurrent = IOElevator(LlapCache())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(concurrent,)) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        s = serial.stats
+        assert s.row_groups_skipped_minmax and s.row_groups_skipped_bloom
+        assert s.rows_filtered_by_runtime_bloom
+        assert asdict(concurrent.stats) == asdict(s)
+
     def test_full_read(self, indexed_file):
         e = IOElevator(LlapCache())
         pdf = e.read_file(indexed_file, ["k", "v"])

@@ -48,6 +48,11 @@ class TestFolding:
         assert out == Filter(Scan("r"), col("a").gt(2))
         check_equiv(pc, p, out)
 
+    def test_null_operand_folds_to_null(self, env):
+        _, ctx = env
+        p = Filter(Scan("r"), col("a").gt(lit(None).add(1)))
+        assert fold_constants(p, ctx).cond == col("a").gt(lit(None))
+
     def test_true_conjunct_removed(self, env):
         _, ctx = env
         p = Filter(Scan("r"), And(TRUE, col("a").gt(1)))
