@@ -3,9 +3,10 @@
 Each HS2 instance keeps a map from the resolved query representation (here:
 the plan fingerprint — names are already resolved in the plan, covering the
 paper's point about unqualified table references) to the cached result plus
-the transactional snapshot it was computed under. A hit is only served when
-none of the participating tables has newer data than that snapshot — the
-check the warehouse's transactional consistency makes possible.
+the WriteId lists of the statement that computed it. A hit is only served
+to a statement with the same lists for the participating tables (passed
+in by HiveServer2; the cache takes no snapshot) — it would read exactly
+the rows the result reflects, the check transactional consistency allows.
 
 Also implemented:
 
@@ -27,7 +28,7 @@ import pandas as pd
 
 from repro.core.expr import NON_DETERMINISTIC_FUNCS, RUNTIME_CONSTANT_FUNCS
 from repro.core.plan import Plan
-from repro.metastore import HiveMetastore
+from repro.metastore import HiveMetastore, Snapshot, ValidWriteIdList
 
 __all__ = ["CacheEntry", "QueryResultCache"]
 
@@ -35,7 +36,7 @@ __all__ = ["CacheEntry", "QueryResultCache"]
 @dataclass
 class CacheEntry:
     result: pd.DataFrame
-    snapshot: dict[str, int]  # table -> WriteId high watermark at execution
+    lists: dict[str, ValidWriteIdList]  # the computing statement's lists
     hits: int = 0
 
 
@@ -49,14 +50,6 @@ class QueryResultCache:
         self.hit_count = 0
         self.miss_count = 0
 
-    # -- snapshot helpers --------------------------------------------------
-
-    def _current_snapshot(self, tables: set[str]) -> dict[str, int]:
-        snap = self.hms.txns.snapshot()
-        return {
-            t: self.hms.txns.valid_write_ids(snap, t).high_watermark for t in tables
-        }
-
     @staticmethod
     def is_cacheable(plan: Plan) -> bool:
         banned = NON_DETERMINISTIC_FUNCS | RUNTIME_CONSTANT_FUNCS
@@ -64,18 +57,17 @@ class QueryResultCache:
 
     # -- main API ----------------------------------------------------------
 
-    def lookup(self, plan: Plan) -> pd.DataFrame | None:
-        """A hit requires an entry whose snapshot still matches every
-        participating table's current WriteId high watermark."""
+    def lookup(self, plan: Plan, lists: dict[str, ValidWriteIdList]) -> pd.DataFrame | None:
+        """A hit requires an entry computed under the probing statement's
+        WriteId ``lists`` for ``plan``'s tables."""
         fp = plan.fingerprint()
         with self._mutex:
             entry = self._entries.get(fp)
             if entry is None:
                 self.miss_count += 1
                 return None
-            current = self._current_snapshot(set(entry.snapshot))
-            if current != entry.snapshot:
-                # stale: tables contain new or modified data
+            if entry.lists != lists:
+                # stale: the statement reads rows the result does not reflect
                 del self._entries[fp]
                 self.miss_count += 1
                 return None
@@ -84,7 +76,9 @@ class QueryResultCache:
             self.hit_count += 1
             return entry.result
 
-    def lookup_or_begin(self, plan: Plan) -> tuple[str, object]:
+    def lookup_or_begin(
+        self, plan: Plan, lists: dict[str, ValidWriteIdList]
+    ) -> tuple[str, object]:
         """Thundering-herd entry point.
 
         Returns ``("hit", result)``, ``("compute", None)`` — the caller must
@@ -92,7 +86,7 @@ class QueryResultCache:
         ``("wait", event)`` — another identical query is already computing;
         wait on the event then call :meth:`lookup` again.
         """
-        result = self.lookup(plan)
+        result = self.lookup(plan, lists)
         if result is not None:
             return "hit", result
         if not self.is_cacheable(plan):
@@ -105,21 +99,18 @@ class QueryResultCache:
             self._pending[fp] = threading.Event()
             return "compute", None
 
-    def fill(self, plan: Plan, result: pd.DataFrame) -> bool:
-        """Store a computed result (if cacheable); wakes pending waiters."""
+    def fill(
+        self, plan: Plan, result: pd.DataFrame, lists: dict[str, ValidWriteIdList]
+    ) -> None:
+        """Store a result computed under ``lists`` (if cacheable); wakes waiters."""
         fp = plan.fingerprint()
-        stored = False
         if self.is_cacheable(plan):
             with self._mutex:
-                self._entries[fp] = CacheEntry(
-                    result=result, snapshot=self._current_snapshot(plan.tables())
-                )
+                self._entries[fp] = CacheEntry(result=result, lists=dict(lists))
                 self._entries.move_to_end(fp)
                 while len(self._entries) > self.capacity:
                     self._entries.popitem(last=False)  # LRU eviction
-                stored = True
         self._release_pending(fp)
-        return stored
 
     def fail(self, plan: Plan) -> None:
         """The computing query errored; release waiters so one can retry."""
@@ -133,13 +124,13 @@ class QueryResultCache:
 
     # -- maintenance -------------------------------------------------------
 
-    def expunge_stale(self) -> int:
-        """Drop entries invalidated by newer table data; returns count."""
+    def expunge_stale(self, snapshot: Snapshot) -> int:
+        """Drop entries whose lists differ from ``snapshot``'s; returns count."""
         removed = 0
         with self._mutex:
             for fp in list(self._entries):
                 e = self._entries[fp]
-                if self._current_snapshot(set(e.snapshot)) != e.snapshot:
+                if self.hms.txns.write_id_lists(snapshot, e.lists) != e.lists:
                     del self._entries[fp]
                     removed += 1
         return removed

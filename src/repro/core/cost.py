@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.expr import And, BinOp, Col, Func, InList, IsNull, Lit, Not, Or
+from repro.core.expr import (
+    And, BinOp, Col, Func, InList, IsNull, Lit, Not, Or, is_column_equality
+)
 from repro.core.plan import (
     Aggregate,
     Filter,
@@ -24,6 +26,7 @@ from repro.core.plan import (
     Sort,
     Union,
 )
+from repro.core.rules import conjuncts
 from repro.metastore import ColumnStats, HiveMetastore
 
 __all__ = ["CostModel"]
@@ -80,11 +83,7 @@ class CostModel:
             cs = None
             if isinstance(cond.arg, Col):
                 cs = self._column_stats(plan, cond.arg.name)
-            if cs is None:
-                frac = 0.05
-            else:
-                total = max(1, cs.ndv)  # no row count at column level; rough
-                frac = 0.05 if cs.null_count == 0 else 0.3
+            frac = 0.05 if cs is None or cs.null_count == 0 else 0.3
             return (1 - frac) if cond.negated else frac
         if isinstance(cond, InList) and isinstance(cond.arg, Col):
             ndv = self._ndv(plan, cond.arg.name)
@@ -180,17 +179,10 @@ class CostModel:
             return lr * 0.5
         if plan.how == "left_anti":
             return lr * 0.5
-        # equi-conjunct extraction
-        conjuncts = list(plan.cond.args) if isinstance(plan.cond, And) else [plan.cond]
         denom = 1.0
         found_equi = False
-        for c in conjuncts:
-            if (
-                isinstance(c, BinOp)
-                and c.op == "="
-                and isinstance(c.left, Col)
-                and isinstance(c.right, Col)
-            ):
+        for c in conjuncts(plan.cond):
+            if is_column_equality(c):
                 found_equi = True
                 ndv_l = self._ndv(plan.left, c.left.name) or self._ndv(
                     plan.right, c.left.name

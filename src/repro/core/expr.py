@@ -41,6 +41,7 @@ __all__ = [
     "col",
     "lit",
     "between",
+    "is_column_equality",
     "TRUE",
     "FALSE",
     "NON_DETERMINISTIC_FUNCS",
@@ -454,6 +455,12 @@ def lit(v) -> Lit:
 
 def between(e: Expr, lo, hi) -> And:
     return And(e.ge(lo), e.le(hi))
+
+
+def is_column_equality(e: Expr) -> bool:
+    """``a = b`` over two columns: an equi-join predicate."""
+    cols = isinstance(e, BinOp) and isinstance(e.left, Col) and isinstance(e.right, Col)
+    return cols and e.op == "="
 
 
 TRUE = Lit(True)

@@ -19,10 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 __all__ = [
+    "CONTAINER_STARTUP_S",
     "SQLFeature",
     "UnsupportedSQLError",
     "EngineConfig",
 ]
+
+# Simulated YARN container allocation paid once per container-mode query: a
+# calibration constant (EXPERIMENTS.md). Real allocations on a busy cluster
+# take 0.5–5 s; LLAP daemons are persistent and pay nothing (§5.1).
+CONTAINER_STARTUP_S = 0.5
 
 
 class SQLFeature:
@@ -59,7 +65,7 @@ class EngineConfig:
     shared_work: bool = True
     # runtime
     llap: bool = True
-    container_startup_s: float = 0.25  # YARN allocation cost paid per query
+    container_startup_s: float = CONTAINER_STARTUP_S  # paid per container-mode query
     llap_cache_bytes: int = 512 * 1024 * 1024
 
     @classmethod
@@ -83,7 +89,6 @@ class EngineConfig:
             result_cache=False,
             shared_work=False,
             llap=False,
-            container_startup_s=0.25,
         )
         return replace(base, **overrides)
 

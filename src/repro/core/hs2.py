@@ -11,9 +11,11 @@ pipeline:
     physical compilation (Spark/Catalyst) → execution → cache fill,
 
 with query reoptimization (§4.2) wrapped around the plan/run pair when a
-retryable execution error surfaces. What one query sets up while it runs
-(runtime Bloom filters, an MV rebuild's WriteId floors, the container
-allocation, persisted shared subtrees) lives in a per-query
+retryable execution error surfaces. Each statement takes one ``Snapshot``
+(§3.2), and its scans, result-cache probe and fill and MV freshness all
+use the WriteId lists derived from it. What one query sets up while it
+runs (that snapshot, runtime Bloom filters, the container allocation,
+persisted shared subtrees) lives in a per-query
 :class:`_HS2ExecutionContext`, never on the server, so concurrent queries
 cannot see each other's state. The ``EngineConfig`` switches let the same
 driver impersonate Hive v1.2, v3.1-on-containers, and v3.1+LLAP for the §7
@@ -37,7 +39,7 @@ from repro.core.compile import compile_plan
 from repro.core.context import infer_columns
 from repro.core.expr import Expr
 from repro.core.features import EngineConfig
-from repro.core.mv import choose_rewrite, is_fresh, merge_aggregate_states, normalize_spja
+from repro.core.mv import choose_rewrite, merge_aggregate_states, normalize_spja
 from repro.core.optimizer import Optimizer, OptimizerContext, default_stages, v12_stages
 from repro.core.plan import Filter, ForeignQuery, Plan, Scan
 from repro.core.reopt import ReoptimizingExecutor
@@ -46,8 +48,15 @@ from repro.core.sharedwork import find_shared_subtrees, merge_equivalent_scans
 from repro.druid import TIME_COL
 from repro.federation.handler import StorageHandler
 from repro.llap import LlapCache, LlapDaemon
-from repro.metastore import HiveMetastore, MaterializedView, Table
+from repro.metastore import (
+    HiveMetastore,
+    MaterializedView,
+    Snapshot,
+    Table,
+    ValidWriteIdList,
+)
 from repro.storage import AcidReader, AcidWriter, Compactor
+from repro.storage.layout import base_dir
 from repro.storage.reader import spark_schema
 
 __all__ = ["QuerySpec", "ExecutionReport", "HiveServer2"]
@@ -78,23 +87,36 @@ class _HS2ExecutionContext:
     """The execution state of one query on a long-lived server.
 
     Built fresh for each ``execute()`` attempt and each internal
-    ``_run_plan()`` call, and dropped when it ends. It holds the query's
-    runtime Bloom filters (registered by the semijoin reducer), the
-    read-only WriteId floors of an incremental MV rebuild (§4.4), whether
-    the query has paid container allocation, and the shared-work subtrees
-    it persisted (§4.5), which :meth:`run` releases once the result is
-    collected. Scans route to a storage handler, the LLAP daemon, or the
-    ACID snapshot reader (container mode).
+    ``_run_plan()`` call, and dropped when it ends. It holds the
+    statement's ``snapshot`` (shared by its reoptimization attempts), which
+    every scan reads at; for an incremental MV rebuild (§4.4), ``since``
+    maps the changed table to the view's stored list, whose rows the scans
+    skip. It also holds the query's runtime Bloom filters (registered by
+    the semijoin reducer), whether the query has paid container
+    allocation, and the shared-work subtrees it persisted (§4.5), which
+    :meth:`run` releases once the result is collected. Scans route to a
+    storage handler, the LLAP daemon, or the ACID snapshot reader
+    (container mode).
     """
 
-    def __init__(self, server: "HiveServer2", wid_floors: dict[str, int] | None = None):
+    def __init__(
+        self,
+        server: "HiveServer2",
+        snapshot: Snapshot,
+        since: dict[str, ValidWriteIdList] | None = None,
+    ):
         self.server = server
-        self._wid_floors = dict(wid_floors or {})
+        self.snapshot = snapshot
+        self.since = dict(since or {})
         self._container_started = False
         # per-scan runtime-filter sets (semijoin Blooms), id → {col: bloom}
         self._bloom_registry: dict[int, dict[str, BloomFilter]] = {}
         # persisted shared subtrees, fingerprint → DataFrame
         self._shared: dict[str, DataFrame] = {}
+
+    def wids(self, table: str) -> ValidWriteIdList:
+        """The statement's WriteId list for ``table``."""
+        return self.server.hms.txns.write_id_lists(self.snapshot, [table])[table]
 
     # called by the semijoin reducer; the returned id goes on the Scan node
     def register_runtime_blooms(self, blooms: dict[str, object]) -> int:
@@ -135,8 +157,10 @@ class _HS2ExecutionContext:
         try:
             pdf = s.daemon.scan_table(
                 node.table,
+                self.wids(node.table),
                 partitions=list(node.partitions) if node.partitions is not None else None,
                 columns=cols,
+                since=self.since.get(node.table),
             )
             for cond in conds:
                 if pdf.empty:
@@ -159,16 +183,17 @@ class _HS2ExecutionContext:
 
         cols = list(scan.columns) if scan.columns is not None else table.column_names()
         partitions = list(scan.partitions) if scan.partitions is not None else None
-        floor = self._wid_floors.get(scan.table, 0)
+        wids, since = self.wids(scan.table), self.since.get(scan.table)
 
         if s.config.llap and s.daemon is not None:
             pdf = s.daemon.scan_table(
                 scan.table,
+                wids,
                 partitions=partitions,
                 columns=cols,
                 pushed_filters=list(scan.pushed_filters) or None,
                 runtime_blooms=self._bloom_registry.get(scan.runtime_filter_id),
-                wid_floor=floor,
+                since=since,
             )
             schema = spark_schema(table, cols)
             if pdf.empty:
@@ -181,7 +206,7 @@ class _HS2ExecutionContext:
             if s.config.container_startup_s > 0:
                 time.sleep(s.config.container_startup_s)
         df = s.reader.scan(
-            scan.table, partitions=partitions, columns=cols, wid_floor=floor
+            scan.table, wids, partitions=partitions, columns=cols, since=since
         )
         # pushed filters are conservative — applying them is always sound
         for p in scan.pushed_filters:
@@ -250,43 +275,42 @@ class HiveServer2:
     # -- DML (each statement is one transaction, §3.2) ---------------------
 
     @contextmanager
-    def _transaction(self) -> Iterator[int]:
-        """Open a transaction; commit it when the block succeeds, abort it
-        and re-raise when the block fails. A commit that loses a write
-        conflict has already aborted itself."""
+    def _transaction(self) -> Iterator[tuple[int, Snapshot]]:
+        """Open a transaction, then take the statement's snapshot, so what
+        it reads is covered by first-commit-wins; commit when the block
+        succeeds, abort and re-raise when it fails. A commit that loses a
+        write conflict has already aborted itself."""
         txn = self.hms.txns.open_txn()
         try:
-            yield txn
+            yield txn, self.hms.txns.snapshot()
         except Exception:
             self.hms.txns.abort(txn)
             raise
         self.hms.txns.commit(txn)
 
     def insert(self, table: str, pdf: pd.DataFrame) -> int:
-        with self._transaction() as txn:
+        with self._transaction() as (txn, _):
             return self.writer.insert(txn, table, pdf)
 
-    def _victims(self, table: str, cond: Expr) -> pd.DataFrame:
-        df = self.reader.scan(table, include_hidden=True)
-        return df.filter(cond.to_spark()).toPandas()
+    def _rows(self, table: str, snapshot: Snapshot, cond: Expr | None = None) -> pd.DataFrame:
+        """The rows of ``table`` (with their identity triple) that
+        ``snapshot`` sees, optionally only those matching ``cond``."""
+        wids = self.hms.txns.write_id_lists(snapshot, [table])[table]
+        df = self.reader.scan(table, wids, include_hidden=True)
+        return (df if cond is None else df.filter(cond.to_spark())).toPandas()
 
     def delete_where(self, table: str, cond: Expr) -> int:
-        victims = self._victims(table, cond)
-        with self._transaction() as txn:
-            wid = self.writer.delete(txn, table, victims)
-        self._mark_views_non_incremental(table)
-        return wid
+        with self._transaction() as (txn, snapshot):
+            return self.writer.delete(txn, table, self._rows(table, snapshot, cond))
 
     def update_where(self, table: str, cond: Expr, set_exprs: dict[str, Expr]) -> int:
-        victims = self._victims(table, cond)
-        new_rows = victims.copy()
-        for c, e in set_exprs.items():
-            new_rows[c] = e.evaluate_vector(new_rows)
         cols = self.hms.get_table(table).column_names()
-        with self._transaction() as txn:
-            wid = self.writer.update(txn, table, victims, new_rows[cols])
-        self._mark_views_non_incremental(table)
-        return wid
+        with self._transaction() as (txn, snapshot):
+            victims = self._rows(table, snapshot, cond)
+            new_rows = victims.copy()
+            for c, e in set_exprs.items():
+                new_rows[c] = e.evaluate_vector(new_rows)
+            return self.writer.update(txn, table, victims, new_rows[cols])
 
     def merge(
         self,
@@ -299,11 +323,11 @@ class HiveServer2:
         """MERGE INTO table USING source ON table.on = source.on
         WHEN MATCHED THEN UPDATE SET <update_cols from source>
         WHEN NOT MATCHED THEN INSERT — one transaction, one WriteId."""
-        target = self.reader.scan(table, include_hidden=True).toPandas()
         cols = self.hms.get_table(table).column_names()
-        matched = target.merge(source, on=on, how="inner", suffixes=("", "__src"))
         wid = None
-        with self._transaction() as txn:
+        with self._transaction() as (txn, snapshot):
+            target = self._rows(table, snapshot)
+            matched = target.merge(source, on=on, how="inner", suffixes=("", "__src"))
             if len(matched) and update_cols:
                 updated = matched.copy()
                 for c in update_cols:
@@ -314,22 +338,9 @@ class HiveServer2:
                 unmatched = source[~source[on].isin(target[on])]
                 if len(unmatched):
                     wid = self.writer.insert(txn, table, unmatched[cols])
-        if update_cols:
-            self._mark_views_non_incremental(table)
         return wid if wid is not None else 0
 
-    def _mark_views_non_incremental(self, table: str) -> None:
-        for v in self.hms.views():
-            if table in v.source_tables:
-                v.insert_only_since_rebuild = False
-
     # -- materialized views (§4.4) ----------------------------------------
-
-    def _table_snapshot(self, tables: list[str]) -> dict[str, int]:
-        snap = self.hms.txns.snapshot()
-        return {
-            t: self.hms.txns.valid_write_ids(snap, t).high_watermark for t in tables
-        }
 
     def create_materialized_view(
         self,
@@ -338,8 +349,10 @@ class HiveServer2:
         properties: dict[str, str] | None = None,
         store_in: str = "native",
     ) -> MaterializedView:
-        contents = self._run_plan(definition)
+        snapshot = self.hms.txns.snapshot()
+        contents = self._run_plan(definition, snapshot)
         sources = sorted(definition.tables())
+        current = self.hms.txns.write_id_lists(snapshot, sources)
         if store_in == "native":
             self.create_table(Table(name, infer_columns(contents), is_acid=True))
             self.insert(name, contents)
@@ -366,7 +379,7 @@ class HiveServer2:
             name=name,
             definition=definition,
             source_tables=sources,
-            snapshot=self._table_snapshot(sources),
+            snapshot=self._view_lists(name, current),
             properties=dict(properties or {}),
         )
         view.properties.setdefault("last.rebuild.time", str(time.time()))
@@ -374,51 +387,50 @@ class HiveServer2:
         return view
 
     def rebuild_materialized_view(self, name: str) -> str:
-        """REBUILD: incremental when only INSERTs happened on a single
-        source table and the view is SPJA; full rebuild otherwise. Returns
-        'incremental' | 'full' | 'noop'."""
+        """REBUILD: incremental when the view is SPJA and only INSERTs
+        changed a single source table — the delta is the rows this
+        statement's list sees and the view's stored list does not; full
+        rebuild otherwise. Returns 'incremental' | 'full' | 'noop'."""
         view = self.hms.get_view(name)
-        if is_fresh(self.hms, view):
+        snapshot = self.hms.txns.snapshot()
+        current = self.hms.txns.write_id_lists(snapshot, view.source_tables)
+        changed = [t for t in view.source_tables if current[t] != view.snapshot.get(t)]
+        if not changed:
             return "noop"
-        current = self._table_snapshot(view.source_tables)
-        changed = [t for t in view.source_tables if current[t] != view.snapshot.get(t, 0)]
         mode = "full"
         norm = normalize_spja(view.definition)
+        t = changed[0]
         if (
-            view.insert_only_since_rebuild
-            and len(changed) == 1
+            len(changed) == 1
+            and not self.hms.txns.updated_or_deleted(t, view.snapshot[t], current[t])
             and norm is not None
             and norm.keys is not None
         ):
             mode = "incremental"
-            t = changed[0]
-            delta = self._run_plan(
-                view.definition, wid_floors={t: view.snapshot.get(t, 0)}
-            )
-            old = self._run_plan(Scan(name))
-            contents = merge_aggregate_states(
-                old, delta, list(norm.keys), list(norm.aggs)
-            )
+            delta = self._run_plan(view.definition, snapshot, {t: view.snapshot[t]})
+            old = self._run_plan(Scan(name), snapshot)
+            contents = merge_aggregate_states(old, delta, list(norm.keys), list(norm.aggs))
         else:
-            contents = self._run_plan(view.definition)
-        self._replace_table_contents(name, contents)
-        view.snapshot = current
-        view.insert_only_since_rebuild = True
+            contents = self._run_plan(view.definition, snapshot)
+        self._overwrite_view(name, contents)
+        view.snapshot = self._view_lists(name, current)
         view.properties["last.rebuild.time"] = str(time.time())
         return mode
 
-    def _replace_table_contents(self, name: str, pdf: pd.DataFrame) -> None:
-        import shutil
-        from pathlib import Path
+    def _view_lists(self, name: str, sources: dict) -> dict[str, ValidWriteIdList]:
+        """``sources`` plus the view table's list now that its contents
+        committed: a statement that would read older contents is stale."""
+        now = self.hms.txns.snapshot()
+        return {**sources, **self.hms.txns.write_id_lists(now, [name])}
 
-        table = self.hms.get_table(name)
-        path = Path(self.warehouse) / name
-        if path.exists():
-            shutil.rmtree(path)
+    def _overwrite_view(self, name: str, pdf: pd.DataFrame) -> None:
+        """INSERT OVERWRITE the view's (unpartitioned) table; older
+        snapshots read what it supersedes until the compactor cleans."""
         self.hms.reset_stats(name)
-        for p in list(self.hms.partitions(name)):
-            self.hms.drop_partition(name, p)
-        self.insert(name, pdf[table.column_names()])
+        cols = self.hms.get_table(name).column_names()
+        with self._transaction() as (txn, _):
+            wid = self.writer.overwrite(txn, name, pdf[cols])
+        self.compactor.supersede(self.writer.table_path(name) / base_dir(wid))
 
     # -- query execution ---------------------------------------------------
 
@@ -432,38 +444,33 @@ class HiveServer2:
                 plan = push_to_druid(plan, self.hms, handler)
         return plan
 
-    def _run_plan(
-        self, plan: Plan, wid_floors: dict[str, int] | None = None
-    ) -> pd.DataFrame:
-        """Internal execution without caching/rewriting (DDL paths).
-        ``wid_floors`` keeps only rows above a table's WriteId floor."""
+    def _run_plan(self, plan: Plan, snapshot: Snapshot, since: dict | None = None) -> pd.DataFrame:
+        """Internal execution at ``snapshot`` without caching/rewriting (DDL
+        paths); a table in ``since`` yields only rows its list there lacks."""
         ctx = OptimizerContext.for_metastore(self.hms)
         stages = v12_stages() if self.config.legacy else default_stages()
         optimized = Optimizer(ctx, stages).optimize(plan)
         optimized = self._push_to_handlers(optimized)
-        return _HS2ExecutionContext(self, wid_floors).run(optimized)
+        return _HS2ExecutionContext(self, snapshot, since).run(optimized)
 
     def execute(self, query: QuerySpec | Plan) -> ExecutionReport:
         if isinstance(query, Plan):
             query = QuerySpec(name="adhoc", plan=query)
         self.config.check_features(query.features)
         t0 = time.perf_counter()
+        snapshot = self.hms.txns.snapshot()
+        lists = self.hms.txns.write_id_lists(snapshot, query.plan.tables())
 
         computing = False
         if self.config.result_cache:
-            state, payload = self.result_cache.lookup_or_begin(query.plan)
+            state, payload = self.result_cache.lookup_or_begin(query.plan, lists)
+            if state == "wait":
+                payload.wait(timeout=60)
+                state, payload = self.result_cache.lookup_or_begin(query.plan, lists)
             if state == "hit":
                 return ExecutionReport(
                     result=payload, wall_time_s=time.perf_counter() - t0, cache_hit=True
                 )
-            if state == "wait":
-                payload.wait(timeout=60)
-                res = self.result_cache.lookup(query.plan)
-                if res is not None:
-                    return ExecutionReport(
-                        result=res, wall_time_s=time.perf_counter() - t0, cache_hit=True
-                    )
-                state, _ = self.result_cache.lookup_or_begin(query.plan)
             computing = state == "compute" and self.result_cache.is_cacheable(query.plan)
 
         report = ExecutionReport(result=pd.DataFrame())
@@ -475,12 +482,12 @@ class HiveServer2:
 
             def plan_fn(overrides: dict, run_config: dict) -> Plan:
                 nonlocal query_ctx
-                query_ctx = _HS2ExecutionContext(self)
+                query_ctx = _HS2ExecutionContext(self, snapshot)
                 ctx = OptimizerContext.for_metastore(self.hms, overrides)
                 plan = query.plan
                 if not self.config.legacy:
                     plan, report.mv_used = choose_rewrite(
-                        plan, self.hms, ctx.cost, now=time.time()
+                        plan, self.hms, ctx.cost, query_ctx.wids, now=time.time()
                     )
                 stages = v12_stages() if self.config.legacy else default_stages()
                 plan = Optimizer(ctx, stages).optimize(plan)
@@ -510,7 +517,7 @@ class HiveServer2:
             report.result = r.result
             report.attempts = r.attempts
             if computing:
-                self.result_cache.fill(query.plan, r.result)
+                self.result_cache.fill(query.plan, r.result, lists)
         except Exception:
             if computing:
                 self.result_cache.fail(query.plan)

@@ -18,9 +18,9 @@ rewriting is "encapsulated within a rule triggered by the cost-based
 optimizer". Aggregation rollup supports the mergeable aggregates (sum,
 count, min, max); ``avg`` must be declared in the view as sum+count.
 
-The same machinery drives incremental maintenance: the view's stored
-per-table WriteId snapshot turns "the new data" into WriteId-range filters,
-and :func:`merge_aggregate_states` implements the MERGE step of an SPJA
+Freshness is stated in the WriteId lists a view stores and the statement's
+own (callers pass them; this module takes no snapshot), and
+:func:`merge_aggregate_states` implements the MERGE step of an SPJA
 incremental rebuild.
 
 Assumption: filter columns are NULL-free (true for the synthetic star
@@ -31,11 +31,12 @@ NOT NULL constraints for the same soundness argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import pandas as pd
 
-from repro.core.expr import AggCall, BinOp, Col, Expr, InList, Lit, Or
+from repro.core.expr import AggCall, BinOp, Col, Expr, InList, Lit, Or, is_column_equality
 from repro.core.joinreorder import flatten_join_tree
 from repro.core.plan import (
     Aggregate,
@@ -49,7 +50,7 @@ from repro.core.plan import (
     Union,
 )
 from repro.core.rules import conjuncts, make_conjunction
-from repro.metastore import HiveMetastore, MaterializedView
+from repro.metastore import HiveMetastore, MaterializedView, ValidWriteIdList
 
 __all__ = [
     "Region",
@@ -256,18 +257,6 @@ class NormSPJA:
     aggs: tuple[AggCall, ...]
 
 
-def _canon_equi(p: Expr) -> Expr:
-    if (
-        isinstance(p, BinOp)
-        and p.op == "="
-        and isinstance(p.left, Col)
-        and isinstance(p.right, Col)
-        and p.left.name > p.right.name
-    ):
-        return BinOp("=", p.right, p.left)
-    return p
-
-
 def normalize_spja(plan: Plan) -> NormSPJA | None:
     """Normalize an SPJA tree: [Aggregate] over joins/filters of Scans.
     Returns None for shapes outside the rewriting algorithm's scope."""
@@ -300,14 +289,10 @@ def normalize_spja(plan: Plan) -> NormSPJA | None:
 
     join_preds, col_filters, other = set(), {}, []
     for p in preds:
-        cp = _canon_equi(p)
-        if (
-            isinstance(cp, BinOp)
-            and cp.op == "="
-            and isinstance(cp.left, Col)
-            and isinstance(cp.right, Col)
-        ):
-            join_preds.add(cp)
+        if is_column_equality(p):
+            # canonical side order, so a = b and b = a match
+            l, r = sorted((p.left, p.right), key=lambda c: c.name)
+            join_preds.add(BinOp("=", l, r))
         elif len(p.columns()) == 1:
             (c,) = p.columns()
             col_filters.setdefault(c, []).append(p)
@@ -526,15 +511,21 @@ def _build_spja(
     return plan
 
 
-def choose_rewrite(query: Plan, hms: HiveMetastore, cost, now: float = 0.0) -> tuple[Plan, str | None]:
+WriteIdLists = Callable[[str], ValidWriteIdList]  # table -> statement's list
+
+
+def choose_rewrite(
+    query: Plan, hms: HiveMetastore, cost, wids: WriteIdLists, now: float = 0.0
+) -> tuple[Plan, str | None]:
     """Cost-based selection among the original plan and every applicable
-    MV rewriting; returns (plan, view_name_used_or_None)."""
+    MV rewriting fresh under the statement's lists ``wids`` (or within its
+    staleness window); returns (plan, view_name_used_or_None)."""
     best, best_view = query, None
     best_cost = cost.plan_cost(query)
     for view in hms.views():
         if not view.enabled_for_rewriting:
             continue
-        if not is_fresh(hms, view) and not _within_staleness(view, now):
+        if not is_fresh(view, wids) and not _within_staleness(view, now):
             continue
         candidate = rewrite_with_view(query, view, hms)
         if candidate is None:
@@ -548,13 +539,10 @@ def choose_rewrite(query: Plan, hms: HiveMetastore, cost, now: float = 0.0) -> t
 # -- freshness / lifecycle -------------------------------------------------
 
 
-def is_fresh(hms: HiveMetastore, view: MaterializedView) -> bool:
-    snap = hms.txns.snapshot()
-    for t in view.source_tables:
-        hwm = hms.txns.valid_write_ids(snap, t).high_watermark
-        if hwm != view.snapshot.get(t, 0):
-            return False
-    return True
+def is_fresh(view: MaterializedView, wids: WriteIdLists) -> bool:
+    """Every list the view recorded is the statement's (``wids``): it reads
+    in the view exactly what it would compute from the sources."""
+    return all(wids(t) == lst for t, lst in view.snapshot.items())
 
 
 def _within_staleness(view: MaterializedView, now: float) -> bool:
@@ -575,10 +563,7 @@ def merge_aggregate_states(
     existing MV contents with the delta computed over newly inserted rows.
     Valid for insert-only deltas: sum/count add, min/max take extrema."""
     combined = pd.concat([old, delta], ignore_index=True)
-    spec = {}
-    for a in aggs:
-        spec[a.name] = {"sum": "sum", "count": "sum", "count_star": "sum", "min": "min", "max": "max"}[a.func]
+    spec = {a.name: _REAGG[a.func] for a in aggs}
     if not keys:
         return combined.agg(spec).to_frame().T.reset_index(drop=True)
-    out = combined.groupby(list(keys), as_index=False).agg(spec)
-    return out
+    return combined.groupby(list(keys), as_index=False).agg(spec)

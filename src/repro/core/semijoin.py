@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.bloom import BloomFilter
 from repro.core.compile import compile_plan
-from repro.core.expr import And, BinOp, Col, InList, lit
+from repro.core.expr import And, Col, InList, is_column_equality, lit
 from repro.core.plan import Filter, Join, Plan, Scan, output_columns
 from repro.core.rules import conjuncts
 from repro.storage.layout import partition_values_from_key
@@ -106,12 +106,7 @@ def find_opportunities(plan: Plan, ctx, max_build_rows: float = 50_000) -> list[
         if not (isinstance(node, Join) and node.how == "inner" and node.cond is not None):
             continue
         for c in conjuncts(node.cond):
-            if not (
-                isinstance(c, BinOp)
-                and c.op == "="
-                and isinstance(c.left, Col)
-                and isinstance(c.right, Col)
-            ):
+            if not is_column_equality(c):
                 continue
             for fact_side, dim_side in ((node.left, node.right), (node.right, node.left)):
                 fact_scan = _scan_of(fact_side)

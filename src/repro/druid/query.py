@@ -23,7 +23,7 @@ import numpy as np
 import pandas as pd
 
 from repro.druid.datasource import DruidDatasource
-from repro.druid.segment import COUNT_METRIC, TIME_COL
+from repro.druid.segment import AGG_FUNCS, COUNT_METRIC, TIME_COL, truncate_time
 
 __all__ = ["execute_query", "DruidQueryError"]
 
@@ -84,9 +84,6 @@ def _filter_mask(seg, spec) -> np.ndarray:
 
 # -- aggregations ----------------------------------------------------------
 
-_AGG_FN = {"doubleSum": "sum", "longSum": "sum", "doubleMin": "min", "doubleMax": "max"}
-
-
 def _agg_spec(aggregations) -> dict[str, tuple[str, str]]:
     out = {}
     for a in aggregations:
@@ -94,8 +91,8 @@ def _agg_spec(aggregations) -> dict[str, tuple[str, str]]:
         if t == "count":
             # over rolled-up rows, counting raw rows = summing __count
             out[a["name"]] = (COUNT_METRIC, "sum")
-        elif t in _AGG_FN:
-            out[a["name"]] = (a["fieldName"], _AGG_FN[t])
+        elif t in AGG_FUNCS:
+            out[a["name"]] = (a["fieldName"], AGG_FUNCS[t])
         else:
             raise DruidQueryError(f"unknown aggregation type {t!r}")
     return out
@@ -107,17 +104,6 @@ def _parse_intervals(intervals):
         s, e = iv.split("/")
         out.append((pd.Timestamp(s), pd.Timestamp(e)))
     return out
-
-
-def _truncate_time(ts: pd.Series, granularity: str) -> pd.Series:
-    if granularity == "all":
-        return pd.Series(pd.Timestamp(0), index=ts.index)
-    return {
-        "day": ts.dt.floor("D"),
-        "month": ts.dt.to_period("M").dt.to_timestamp(),
-        "year": ts.dt.to_period("Y").dt.to_timestamp(),
-        "none": ts,
-    }[granularity]
 
 
 # -- execution -------------------------------------------------------------
@@ -170,7 +156,7 @@ def execute_query(ds: DruidDatasource, query: dict) -> pd.DataFrame:
     data = pd.concat(parts, ignore_index=True)
     keys = list(dims)
     if granularity != "all":
-        data = data.assign(**{TIME_COL: _truncate_time(data[TIME_COL], granularity)})
+        data = data.assign(**{TIME_COL: truncate_time(data[TIME_COL], granularity)})
         keys = [TIME_COL] + keys
 
     named = {name: pd.NamedAgg(column=c, aggfunc=f) for name, (c, f) in spec.items()}

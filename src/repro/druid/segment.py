@@ -25,6 +25,8 @@ __all__ = ["TIME_COL", "COUNT_METRIC", "MetricSpec", "Segment", "rollup"]
 
 TIME_COL = "__time"
 COUNT_METRIC = "__count"
+# Druid aggregator type -> the pandas function that merges it
+AGG_FUNCS = {"doubleSum": "sum", "longSum": "sum", "doubleMin": "min", "doubleMax": "max"}
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,7 @@ class MetricSpec:
     field: str
 
     def pandas_agg(self) -> str:
-        return {"doubleSum": "sum", "longSum": "sum", "doubleMin": "min", "doubleMax": "max"}[self.agg]
+        return AGG_FUNCS[self.agg]
 
 
 @dataclass
@@ -67,14 +69,15 @@ class Segment:
         return len(self.data)
 
 
-def _truncate(ts: pd.Series, granularity: str) -> pd.Series:
-    return {
-        "none": ts,
-        "day": ts.dt.floor("D"),
-        "month": ts.dt.to_period("M").dt.to_timestamp(),
-        "year": ts.dt.to_period("Y").dt.to_timestamp(),
-        "all": pd.Series(pd.Timestamp(0), index=ts.index),
-    }[granularity]
+def truncate_time(ts: pd.Series, granularity: str) -> pd.Series:
+    """Floor timestamps to ``granularity`` ('all': one granule)."""
+    if granularity == "none":
+        return ts
+    if granularity == "all":
+        return pd.Series(pd.Timestamp(0), index=ts.index)
+    if granularity == "day":
+        return ts.dt.floor("D")
+    return ts.dt.to_period({"month": "M", "year": "Y"}[granularity]).dt.to_timestamp()
 
 
 def rollup(
@@ -86,7 +89,7 @@ def rollup(
 ) -> pd.DataFrame:
     """Ingestion-time roll-up: one row per (time granule, dimension combo)."""
     out = pdf.copy()
-    out[TIME_COL] = _truncate(pd.to_datetime(out[time_column]), query_granularity)
+    out[TIME_COL] = truncate_time(pd.to_datetime(out[time_column]), query_granularity)
     agg_spec: dict[str, tuple[str, str]] = {
         m.name: (m.field, m.pandas_agg()) for m in metrics
     }

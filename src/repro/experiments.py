@@ -16,9 +16,9 @@ suite asserts shape claims on (paper numbers vs ours: EXPERIMENTS.md).
 Timing methodology follows the paper: warm runs (one unmeasured warm-up,
 then the average of ``runs`` measured executions). The query result cache
 is disabled in all arms — repeats must measure execution, not caching.
-The container-mode arms pay ``container_startup_s`` per query for YARN
-container allocation; that constant is a documented calibration knob, not
-a measurement of this machine (EXPERIMENTS.md).
+The container-mode arms pay ``features.CONTAINER_STARTUP_S`` per query for
+YARN container allocation; that constant is a documented calibration knob,
+not a measurement of this machine (EXPERIMENTS.md).
 """
 from __future__ import annotations
 
@@ -35,11 +35,6 @@ from repro.metastore import HiveMetastore
 from repro.workloads import ssb, tpcds_lite
 
 __all__ = ["table1_llap", "fig7_versions", "fig8_druid", "format_rows"]
-
-# Simulated YARN container allocation paid once per query in container
-# mode. Real allocations on a busy cluster take 0.5–5 s; 0.5 s is the
-# conservative end. LLAP daemons are persistent and pay nothing (§5.1).
-CONTAINER_STARTUP_S = 0.5
 
 
 def _tune(spark: SparkSession) -> None:
@@ -76,15 +71,13 @@ def table1_llap(
     container = HiveServer2(
         spark,
         str(workdir / "wh"),
-        EngineConfig.v3_1_container(
-            container_startup_s=CONTAINER_STARTUP_S, result_cache=False
-        ),
+        EngineConfig.v3_1_container(result_cache=False),
         hms=hms,
     )
     llap = HiveServer2(
         spark,
         str(workdir / "wh"),
-        EngineConfig.v3_1(container_startup_s=0.0, result_cache=False),
+        EngineConfig.v3_1(result_cache=False),
         hms=hms,
     )
 
@@ -128,13 +121,13 @@ def fig7_versions(
     v12 = HiveServer2(
         spark,
         str(workdir / "wh"),
-        EngineConfig.v1_2(container_startup_s=CONTAINER_STARTUP_S),
+        EngineConfig.v1_2(),
         hms=hms,
     )
     v31 = HiveServer2(
         spark,
         str(workdir / "wh"),
-        EngineConfig.v3_1(container_startup_s=0.0, result_cache=False),
+        EngineConfig.v3_1(result_cache=False),
         hms=hms,
     )
     # the shared-work ablation: the q88-shaped query with the optimizer
@@ -142,9 +135,7 @@ def fig7_versions(
     no_shared = HiveServer2(
         spark,
         str(workdir / "wh"),
-        EngineConfig.v3_1(
-            container_startup_s=0.0, result_cache=False, shared_work=False
-        ),
+        EngineConfig.v3_1(result_cache=False, shared_work=False),
         hms=hms,
     )
 
@@ -215,7 +206,7 @@ def fig8_druid(
         hs2 = HiveServer2(
             spark,
             str(workdir / f"wh_{tag}"),
-            EngineConfig.v3_1(container_startup_s=0.0, result_cache=False),
+            EngineConfig.v3_1(result_cache=False),
         )
         hs2.register_handler(DruidStorageHandler(DruidCluster()))
         ssb.load_into(hs2, sf=sf)

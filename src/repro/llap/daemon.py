@@ -71,12 +71,13 @@ class LlapDaemon:
         columns: list[str] | None = None,
         pushed_filters: list[Expr] | None = None,
         runtime_blooms: dict[str, BloomFilter] | None = None,
-        wid_floor: int = 0,
+        since: ValidWriteIdList | None = None,
     ) -> pd.DataFrame:
         """Snapshot-consistent scan through cache + elevator → pandas batch.
 
-        ``wid_floor`` keeps only rows with ``WriteId > wid_floor`` (MV
-        incremental maintenance, §4.4)."""
+        ``wids=None`` takes a fresh snapshot (standalone callers). ``since``
+        keeps only rows that list does not see — the new data of an
+        incremental MV rebuild (§4.4)."""
         if wids is None:
             wids = self.hms.txns.valid_write_ids(self.hms.txns.snapshot(), table)
         data_files, delete_files = self._reader.visible_files(table, wids, partitions)
@@ -109,5 +110,5 @@ class LlapDaemon:
             if delete_files
             else None
         )
-        data = visible_rows(data, tombs, wids, wid_floor)
+        data = visible_rows(data, tombs, wids, since)
         return data[list(out_cols)].reset_index(drop=True)

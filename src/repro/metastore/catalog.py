@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
 from .stats import TableStats
-from .txn import TxnManager
+from .txn import TxnManager, ValidWriteIdList
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.plan import Plan
@@ -74,19 +74,18 @@ class MaterializedView:
     """A materialized view: "just a semantically enriched table" (§4.4).
 
     ``definition`` is the logical plan of the defining query; ``snapshot``
-    maps each source table to the WriteId high-watermark the contents
-    reflect, which both drives staleness checks and lets incremental
-    maintenance express "the new data" as WriteId-range filters.
+    maps each source table to the WriteId list of the statement that last
+    built the contents, and the view's own table to its list once those
+    contents committed. A statement with the same lists finds the view
+    fresh, and an incremental rebuild reads as "the new data" the rows its
+    own lists see and the stored ones do not.
     """
 
     name: str
     definition: "Plan"
     source_tables: list[str]
-    snapshot: dict[str, int] = field(default_factory=dict)
+    snapshot: dict[str, ValidWriteIdList] = field(default_factory=dict)
     properties: dict[str, str] = field(default_factory=dict)
-    # set False when a source table saw UPDATE/DELETE since last rebuild —
-    # forces full rebuild (incremental supports INSERT-only deltas, §4.4)
-    insert_only_since_rebuild: bool = True
     enabled_for_rewriting: bool = True
 
     def allowed_staleness_s(self) -> float:

@@ -5,9 +5,11 @@ Reproduces the paper's ACID machinery:
 * a global, monotonically increasing ``TxnId`` per transaction;
 * per-table, monotonically increasing ``WriteId``s, one per (txn, table) —
   all records a transaction writes to one table share its ``WriteId``;
-* Snapshot Isolation: a query obtains a *transaction list* (high watermark +
-  open/aborted set below it) and derives, per table, a compact *WriteId
-  list* used by scan operators to skip invisible rows;
+* Snapshot Isolation: a statement obtains one *transaction list* (high
+  watermark + open/aborted set below it) and derives from it, per table, a
+  compact *WriteId list* (:meth:`TxnManager.write_id_lists`). Its scans
+  skip the rows those lists do not see, and the result cache and
+  materialized views record and compare the same lists;
 * shared/exclusive locks at partition granularity (table granularity for
   unpartitioned tables); only disruptive DDL takes exclusive locks;
 * optimistic conflict resolution for UPDATE/DELETE: write sets are tracked
@@ -207,6 +209,11 @@ class TxnManager:
             )
             return Snapshot(hwm, open_, aborted)
 
+    def write_id_lists(self, snapshot: Snapshot, tables) -> dict[str, ValidWriteIdList]:
+        """The WriteId list of each of ``tables`` under ``snapshot``."""
+        with self._mutex:
+            return {t: self.valid_write_ids(snapshot, t) for t in tables}
+
     def valid_write_ids(self, snapshot: Snapshot, table: str) -> ValidWriteIdList:
         """Derive the per-table WriteId list from a transaction list (§3.2)."""
         with self._mutex:
@@ -219,6 +226,16 @@ class TxnManager:
                     if not snapshot.is_visible_txn(owner):
                         invalid.add(wid)
             return ValidWriteIdList(table, hwm_wid, frozenset(invalid))
+
+    def updated_or_deleted(
+        self, table: str, old: ValidWriteIdList, new: ValidWriteIdList
+    ) -> bool:
+        """Whether a write ``new`` sees and ``old`` does not updated or
+        deleted rows of ``table`` (MVs merge only INSERTs incrementally)."""
+        with self._mutex:
+            owners = [o for w, o in self._table_write_txn.get(table, {}).items()
+                      if new.is_valid(w) and not old.is_valid(w)]
+            return any(t == table for o in owners for t, _ in self._txns[o].write_set)
 
     def min_open_txn(self) -> int | None:
         with self._mutex:

@@ -51,6 +51,9 @@ class CompactionDecision:
     reason: str = ""
 
 
+_ALL_KINDS = (DirKind.BASE, DirKind.DELTA, DirKind.DELETE_DELTA)
+
+
 def _files(dirs: list[AcidDir]) -> list[Path]:
     return [f for d in dirs for f in sorted(d.path.glob("*.parquet"))]
 
@@ -112,6 +115,11 @@ class Compactor:
                 self.row_group_rows,
                 bloom_columns(self.hms.get_table(table)),
             )
+        self.supersede(out, kinds)
+
+    def supersede(self, out: Path, kinds: tuple[str, ...] = _ALL_KINDS) -> None:
+        """Leave for :meth:`clean` every other directory of ``kinds`` beside
+        ``out`` whose WriteId range ``out``'s covers."""
         _, wmin, wmax = parse_acid_dir(out.name)
         self._obsolete += [
             d.path
@@ -149,8 +157,7 @@ class Compactor:
         if all(d.kind == DirKind.BASE for d in data + deletes):
             return False  # nothing beyond the current base
         out = path / base_dir(max(d.wmax for d in data + deletes))
-        kinds = (DirKind.BASE, DirKind.DELTA, DirKind.DELETE_DELTA)
-        self._merge(out, _read(data), _read(deletes), wids, table, kinds)
+        self._merge(out, _read(data), _read(deletes), wids, table, _ALL_KINDS)
         return True
 
     # -- cleaning (separate phase so in-flight queries finish, §3.2) ------

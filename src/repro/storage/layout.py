@@ -152,8 +152,9 @@ def select_dirs(
 ) -> tuple[list[AcidDir], list[AcidDir]]:
     """The (data_dirs, delete_dirs) a snapshot reads out of one partition.
 
-    The newest base at or below the high watermark, then per kind the
-    deltas in ``(wmin, -wmax)`` order, skipping — as Hive's
+    The newest valid base at or below the high watermark (an INSERT
+    OVERWRITE's base is invalid while its writer is open or aborted), then
+    per kind the deltas in ``(wmin, -wmax)`` order, skipping — as Hive's
     ``AcidUtils.getAcidState`` does — every delta whose ``wmax`` the base or
     a wider delta already kept covers. Compaction leaves its inputs beside
     its output until cleaning, so this is what makes every row read once
@@ -162,7 +163,7 @@ def select_dirs(
     skip); multi-write directories are filtered per row by the caller.
     """
     hwm = wids.high_watermark
-    bases = [d for d in dirs if d.kind == DirKind.BASE and d.wmax <= hwm]
+    bases = [d for d in dirs if d.kind == DirKind.BASE and wids.is_valid(d.wmax)]
     base = max(bases, key=lambda d: d.wmax, default=None)
     data, deletes = ([base] if base else []), []
     for kind, out in ((DirKind.DELTA, data), (DirKind.DELETE_DELTA, deletes)):
@@ -276,15 +277,16 @@ def visible_rows(
     rows: pd.DataFrame,
     tombs: pd.DataFrame | None,
     wids: ValidWriteIdList,
-    wid_floor: int = 0,
+    since: ValidWriteIdList | None = None,
 ) -> pd.DataFrame:
     """Merge-on-read in pandas: keep the rows whose WriteId ``wids`` sees
-    (and, for incremental MV rebuilds, that lie above ``wid_floor``), then
-    anti-join them against the tombstones of valid deleters on the identity
-    triple."""
-    rows = rows[wids.valid_mask(rows[WRITEID_COL])]
-    if wid_floor:
-        rows = rows[rows[WRITEID_COL] > wid_floor]
+    (and, for an incremental MV rebuild, that the view's stored list
+    ``since`` does not), then anti-join them against the tombstones of
+    valid deleters on the identity triple."""
+    keep = wids.valid_mask(rows[WRITEID_COL])
+    if since is not None:
+        keep &= ~since.valid_mask(rows[WRITEID_COL])
+    rows = rows[keep]
     if tombs is None or tombs.empty:
         return rows
     t = tombs[wids.valid_mask(tombs[WRITEID_COL])][list(DELETE_COLS)]

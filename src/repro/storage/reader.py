@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
@@ -115,12 +115,13 @@ class AcidReader:
 
     # -- scanning ----------------------------------------------------------
 
-    def _row_filter(self, df: DataFrame, wids: ValidWriteIdList) -> DataFrame:
+    @staticmethod
+    def _visible(wids: ValidWriteIdList) -> Column:
         """Row-level WriteId visibility (for compacted multi-write deltas)."""
         cond = F.col(WRITEID_COL) <= F.lit(wids.high_watermark)
         if wids.invalid:
             cond = cond & ~F.col(WRITEID_COL).isin(list(wids.invalid))
-        return df.filter(cond)
+        return cond
 
     def scan(
         self,
@@ -129,14 +130,14 @@ class AcidReader:
         partitions: list[str] | None = None,
         columns: list[str] | None = None,
         include_hidden: bool = False,
-        wid_floor: int = 0,
+        since: ValidWriteIdList | None = None,
     ) -> DataFrame:
         """Snapshot-consistent scan returning a Spark DataFrame.
 
-        With ``wids=None`` a fresh snapshot is taken (the common
-        single-statement-query path through HS2). ``wid_floor`` keeps only
-        rows with ``WriteId > wid_floor`` — the "new data since the last MV
-        rebuild" filter incremental maintenance injects (§4.4).
+        HiveServer2 passes the statement's ``wids``; with ``wids=None`` a
+        fresh snapshot is taken (standalone callers). ``since`` keeps only
+        rows that list does not see — the "new data since the last MV
+        rebuild" filter of incremental maintenance (§4.4).
         """
         table = self.hms.get_table(table_name)
         if wids is None:
@@ -153,14 +154,13 @@ class AcidReader:
             empty = self.spark.createDataFrame([], schema)
             return empty.select(*proj)
 
-        df = self.spark.read.parquet(*data_files)
-        df = self._row_filter(df, wids)
-        if wid_floor:
-            df = df.filter(F.col(WRITEID_COL) > F.lit(wid_floor))
+        df = self.spark.read.parquet(*data_files).filter(self._visible(wids))
+        if since is not None:
+            df = df.filter(~self._visible(since))
 
         if delete_files:
             tomb = self.spark.read.parquet(*delete_files)
-            tomb = self._row_filter(tomb, wids)  # skip aborted deleters
+            tomb = tomb.filter(self._visible(wids))  # skip aborted deleters
             tomb = tomb.select(
                 *[F.col(o).alias(h) for o, h in zip(DELETE_COLS, HIDDEN_COLS)]
             ).dropDuplicates()

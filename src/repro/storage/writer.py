@@ -1,8 +1,9 @@
 """ACID writer: INSERT / DELETE / UPDATE producing base-delta layout (§3.2).
 
 Every write allocates one ``WriteId`` per (transaction, table) and lands in
-``delta_<w>_<w>`` (inserts) or ``delete_delta_<w>_<w>`` (tombstones pointing
-at ``(writeid, fileid, rowid)`` triples). UPDATE is split into DELETE +
+``delta_<w>_<w>`` (inserts), ``delete_delta_<w>_<w>`` (tombstones pointing
+at ``(writeid, fileid, rowid)`` triples) or, for INSERT OVERWRITE,
+``base_<w>``. UPDATE is split into DELETE +
 INSERT under the same transaction — hence the same WriteId — exactly as the
 paper describes. Writes also feed the additive statistics in HMS so the
 cost-based optimizer never needs a rescan.
@@ -28,6 +29,7 @@ from repro.storage.layout import (
     HIDDEN_COLS,
     ROWID_COL,
     WRITEID_COL,
+    base_dir,
     bloom_columns,
     bucket_file,
     delete_delta_dir,
@@ -80,6 +82,14 @@ class AcidWriter:
     def insert(self, txn_id: int, table_name: str, pdf: pd.DataFrame) -> int:
         """INSERT rows; returns the WriteId. Also registers partitions and
         merges fresh statistics into HMS."""
+        return self._write(txn_id, table_name, pdf, lambda wid: delta_dir(wid, wid))
+
+    def overwrite(self, txn_id: int, table_name: str, pdf: pd.DataFrame) -> int:
+        """INSERT OVERWRITE as ``base_<w>`` per partition written; returns
+        ``w``. Older snapshots keep reading what it covers until cleaning."""
+        return self._write(txn_id, table_name, pdf, base_dir)
+
+    def _write(self, txn_id: int, table_name: str, pdf: pd.DataFrame, make_dir) -> int:
         table = self.hms.get_table(table_name)
         missing = set(table.column_names()) - set(pdf.columns)
         if missing:
@@ -95,7 +105,7 @@ class AcidWriter:
             group[WRITEID_COL] = np.int64(wid)
             group[FILEID_COL] = np.int64(fileid)
             group[ROWID_COL] = np.arange(len(group), dtype=np.int64)
-            dir_path = self.table_path(table_name) / key / delta_dir(wid, wid)
+            dir_path = self.table_path(table_name) / key / make_dir(wid)
             write_data_file(
                 dir_path / bucket_file(fileid), group, self.row_group_rows, bloom_cols
             )
@@ -106,8 +116,8 @@ class AcidWriter:
             self.hms.update_stats(table_name, stats, key or None)
             rows_before += len(group)
         if rows_before == 0:
-            # register the (empty) delta so the write is still observable
-            dir_path = self.table_path(table_name) / delta_dir(wid, wid)
+            # register the (empty) directory so the write is still observable
+            dir_path = self.table_path(table_name) / make_dir(wid)
             dir_path.mkdir(parents=True, exist_ok=True)
         return wid
 

@@ -42,6 +42,26 @@ class TestInsertVisibility:
         assert scan_pdf(acid, "t", wids=wids)["k"].tolist() == [1]
         assert scan_pdf(acid, "t")["k"].tolist() == [1, 2]
 
+    def test_since_scan_reads_only_what_the_list_misses(self, acid):
+        """The Spark twin of ``layout.visible_rows``' ``since``."""
+        acid.run_insert("t", rows([1], [1.0], [10]))
+        t = acid.begin()
+        acid.writer.insert(t, "t", rows([2], [2.0], [10]))
+        since = acid.hms.txns.valid_write_ids(acid.hms.txns.snapshot(), "t")
+        acid.run_insert("t", rows([3], [3.0], [10]))
+        acid.hms.txns.commit(t)
+        assert scan_pdf(acid, "t", since=since)["k"].tolist() == [2, 3]
+
+    def test_overwrite_replaces_rows_for_later_snapshots(self, acid):
+        acid.run_insert("u", rows([1, 2], [1.0, 2.0]))
+        old = acid.hms.txns.valid_write_ids(acid.hms.txns.snapshot(), "u")
+        t = acid.begin()
+        acid.writer.overwrite(t, "u", rows([7], [7.0]))
+        assert scan_pdf(acid, "u")["k"].tolist() == [1, 2]  # writer still open
+        acid.hms.txns.commit(t)
+        assert scan_pdf(acid, "u")["k"].tolist() == [7]
+        assert scan_pdf(acid, "u", wids=old)["k"].tolist() == [1, 2]
+
     def test_multi_partition_insert(self, acid):
         acid.run_insert("t", rows([1, 2, 3], [1.0, 2.0, 3.0], [10, 20, 10]))
         assert acid.hms.partitions("t") == ["p=10", "p=20"]

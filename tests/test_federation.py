@@ -17,6 +17,11 @@ from repro.metastore import Table
 from repro.oracle import assert_equivalent
 
 
+def statement_context(hs2):
+    """The execution context of a statement starting now."""
+    return _HS2ExecutionContext(hs2, hs2.hms.txns.snapshot())
+
+
 def raw_events(n=2000, seed=9):
     g = np.random.default_rng(seed)
     return pd.DataFrame(
@@ -79,7 +84,7 @@ class TestHandlers:
     def test_scan_reads_through_input_format(self, fed):
         hs2, handler = fed
         register_external(hs2)
-        df = _HS2ExecutionContext(hs2).resolve_scan(Scan("druid_table_1"))
+        df = statement_context(hs2).resolve_scan(Scan("druid_table_1"))
         assert df.count() == handler.cluster.get("my_druid_source").n_rows
 
     def test_output_format_creates_datasource(self, fed):
@@ -108,7 +113,7 @@ class TestHandlers:
     def test_native_tables_still_delegate(self, fed):
         hs2, _ = fed
         add_native(hs2, "native_t", pd.DataFrame({"a": [1, 2, 3]}))
-        assert _HS2ExecutionContext(hs2).resolve_scan(Scan("native_t")).count() == 3
+        assert statement_context(hs2).resolve_scan(Scan("native_t")).count() == 3
 
 
 def figure6_plan():
@@ -175,7 +180,7 @@ class TestPushdown:
             (AggCall("sum", col("m1"), "s"), AggCall("count_star", None, "c")),
         )
         out = push_to_druid(plan, hs2.hms, handler)
-        df = compile_plan(out, _HS2ExecutionContext(hs2))
+        df = compile_plan(out, statement_context(hs2))
         # oracle over the raw (pre-rollup) events
         raw = raw_events()
         assert_equivalent(
@@ -234,7 +239,7 @@ class TestPushdown:
         )
         out = push_to_druid(plan, hs2.hms, handler)
         assert isinstance(out, ForeignQuery)
-        df = compile_plan(out, _HS2ExecutionContext(hs2))
+        df = compile_plan(out, statement_context(hs2))
         assert df.count() == 0
         assert [(f.name, f.dataType.simpleString()) for f in df.schema] == [
             ("d1", "string"),
@@ -249,5 +254,5 @@ class TestPushdown:
             Scan("druid_table_1"), (), (AggCall("count_star", None, "c"),)
         )
         out = push_to_druid(plan, hs2.hms, handler)
-        df = compile_plan(out, _HS2ExecutionContext(hs2))
+        df = compile_plan(out, statement_context(hs2))
         assert df.collect()[0]["c"] == 2000

@@ -2,17 +2,21 @@
 import sys
 import threading
 
+import duckdb
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.core.expr import AggCall, And, Col, Func, InList, col
 from repro.core.features import EngineConfig, SQLFeature, UnsupportedSQLError
+import repro.core.hs2 as hs2_module
 from repro.core.hs2 import HiveServer2, QuerySpec, _HS2ExecutionContext
 from repro.core.plan import Aggregate, Filter, Join, Scan, SetOp, Project, Union
 from repro.core.reopt import ExecutionError
-from repro.metastore import Column, Table
+from repro.metastore import Column, Table, WriteConflict
 from repro.oracle import assert_equivalent
+from repro.storage import AcidReader
+from repro.workloads import tpcds_lite
 
 
 def make_server(spark, tmp_path, config=None) -> HiveServer2:
@@ -228,18 +232,23 @@ def mv_def():
     )
 
 
+def by_cat_query():
+    """Answerable from ``mv_def()`` whenever the view is fresh."""
+    return QuerySpec(
+        "by_cat",
+        Aggregate(
+            Join(Scan("sales"), Scan("item"), col("item_sk").eq(col("i_item_sk"))),
+            ("i_cat",),
+            (AggCall("sum", col("price"), "total"),),
+        ),
+    )
+
+
 class TestMaterializedViews:
     def test_create_and_rewrite(self, spark, tmp_path):
         hs2 = make_server(spark, tmp_path)
         hs2.create_materialized_view("mv_cat", mv_def())
-        q = QuerySpec(
-            "by_cat",
-            Aggregate(
-                Join(Scan("sales"), Scan("item"), col("item_sk").eq(col("i_item_sk"))),
-                ("i_cat",),
-                (AggCall("sum", col("price"), "total"),),
-            ),
-        )
+        q = by_cat_query()
         r = hs2.execute(q)
         assert r.mv_used == "mv_cat"
         t = oracle_tables(hs2)
@@ -259,14 +268,7 @@ class TestMaterializedViews:
         hs2.insert(
             "sales", pd.DataFrame({"item_sk": [0], "price": [5.0], "month": [1]})
         )
-        q = QuerySpec(
-            "by_cat",
-            Aggregate(
-                Join(Scan("sales"), Scan("item"), col("item_sk").eq(col("i_item_sk"))),
-                ("i_cat",),
-                (AggCall("sum", col("price"), "total"),),
-            ),
-        )
+        q = by_cat_query()
         r = hs2.execute(q)
         assert r.mv_used is None  # stale → skipped
         assert hs2.rebuild_materialized_view("mv_cat") == "incremental"
@@ -360,8 +362,9 @@ class TestPerQueryContext:
     """Each query runs in its own execution context on a long-lived server."""
 
     def test_rebuild_floor_not_seen_by_concurrent_query(self, v31_server, monkeypatch):
-        """An incremental MV rebuild reads sales above its WriteId floor;
-        a query running meanwhile must still see every row."""
+        """An incremental MV rebuild reads only the sales rows the view's
+        stored WriteId list does not see; a query running meanwhile must
+        still see every row."""
         hs2 = v31_server
         hs2.create_materialized_view("mv_cat", mv_def())
         hs2.insert("sales", pd.DataFrame({"item_sk": [0], "price": [5.0], "month": [1]}))
@@ -463,6 +466,321 @@ class TestPerQueryContext:
             assert r.shared_subtrees >= 1
             assert persistent().size() == before
             check_oracle(hs2, r.result, q.plan)
+
+
+def count_star(name, plan):
+    return QuerySpec(name, Aggregate(plan, (), (AggCall("count_star", None, "n"),)))
+
+
+def sports_sale(price):
+    return pd.DataFrame({"item_sk": [0], "price": [price], "month": [1]})
+
+
+def open_insert(hs2, table, pdf) -> int:
+    """Write ``pdf`` to ``table`` in a transaction left open; returns it."""
+    txn = hs2.hms.txns.open_txn()
+    hs2.writer.insert(txn, table, pdf)
+    return txn
+
+
+@pytest.fixture(params=["v3_1", "v3_1_container"])
+def cached_server(request, spark, tmp_path):
+    """A v3.1 server, LLAP or containers, with the result cache on."""
+    config = getattr(EngineConfig, request.param)(container_startup_s=0.0)
+    with make_server(spark, tmp_path, config) as hs2:
+        yield hs2
+
+
+class TestStatementSnapshot:
+    """A statement reads, caches and records at the one snapshot it takes."""
+
+    def test_cache_filled_while_insert_open_is_not_served_after_commit(
+        self, cached_server
+    ):
+        hs2 = cached_server
+        txn = open_insert(
+            hs2, "item", pd.DataFrame({"i_item_sk": [50], "i_cat": ["Sports"]})
+        )
+        q = count_star("n_item", Scan("item"))
+        check_oracle(hs2, hs2.execute(q).result, q.plan)  # 50 rows
+        hs2.hms.txns.commit(txn)
+        r = hs2.execute(q)
+        assert not r.cache_hit
+        check_oracle(hs2, r.result, q.plan)  # 51 rows
+        assert hs2.execute(q).cache_hit
+
+    def test_view_built_while_insert_open_is_stale_after_commit(self, cached_server):
+        hs2 = cached_server
+        txn = open_insert(hs2, "sales", sports_sale(5.0))
+        hs2.create_materialized_view("mv_cat", mv_def())
+        check_oracle(hs2, hs2.reader.scan("mv_cat").toPandas(), mv_def())
+        hs2.hms.txns.commit(txn)
+        q = by_cat_query()
+        r = hs2.execute(q)
+        assert r.mv_used is None
+        check_oracle(hs2, r.result, q.plan)
+        assert hs2.rebuild_materialized_view("mv_cat") == "incremental"
+        check_oracle(hs2, hs2.reader.scan("mv_cat").toPandas(), mv_def())
+
+    def test_incremental_rebuild_while_insert_open(self, cached_server):
+        """The open insert's WriteId is below the list the rebuild stores;
+        the next rebuild must still pick its rows up."""
+        hs2 = cached_server
+        hs2.create_materialized_view("mv_cat", mv_def())
+        txn = open_insert(hs2, "sales", sports_sale(7.0))
+        hs2.insert("sales", sports_sale(5.0))
+        assert hs2.rebuild_materialized_view("mv_cat") == "incremental"
+        check_oracle(hs2, hs2.reader.scan("mv_cat").toPandas(), mv_def())
+        hs2.hms.txns.commit(txn)
+        assert hs2.rebuild_materialized_view("mv_cat") == "incremental"
+        check_oracle(hs2, hs2.reader.scan("mv_cat").toPandas(), mv_def())
+        assert hs2.rebuild_materialized_view("mv_cat") == "noop"
+        q = by_cat_query()
+        r = hs2.execute(q)
+        assert r.mv_used == "mv_cat"
+        check_oracle(hs2, r.result, q.plan)
+
+    def test_delete_committed_during_rebuild_forces_full_rebuild(
+        self, v31_server, monkeypatch
+    ):
+        """A DELETE that commits after an incremental rebuild took its
+        snapshot is not in that rebuild; the next rebuild must not merge
+        past it incrementally."""
+        hs2 = v31_server
+        hs2.create_materialized_view("mv_cat", mv_def())
+        hs2.insert("sales", sports_sale(5.0))
+        inside, release = threading.Event(), threading.Event()
+        resolve_scan = _HS2ExecutionContext.resolve_scan
+
+        def held_resolve_scan(ctx, scan):
+            if threading.current_thread() is rebuilder:
+                inside.set()
+                release.wait(timeout=120)
+            return resolve_scan(ctx, scan)
+
+        monkeypatch.setattr(_HS2ExecutionContext, "resolve_scan", held_resolve_scan)
+        modes = []
+        rebuilder = threading.Thread(
+            target=lambda: modes.append(hs2.rebuild_materialized_view("mv_cat"))
+        )
+        rebuilder.start()
+        try:
+            assert inside.wait(timeout=120)
+            hs2.delete_where("sales", col("month").eq(1))
+        finally:
+            release.set()
+            rebuilder.join(timeout=120)
+        assert not rebuilder.is_alive()
+        assert modes == ["incremental"]
+        assert hs2.rebuild_materialized_view("mv_cat") == "full"
+        check_oracle(hs2, hs2.reader.scan("mv_cat").toPandas(), mv_def())
+
+    def test_commit_between_two_scans_of_one_query(self, v31_server, monkeypatch):
+        """A transaction writing both tables commits between the query's
+        two scans; both read the state the query started at."""
+        hs2 = v31_server
+        q = QuerySpec(
+            "two_counts",
+            Join(
+                Aggregate(Scan("item"), (), (AggCall("count_star", None, "n1"),)),
+                Aggregate(
+                    Filter(Scan("sales"), col("month").ge(1)),
+                    (),
+                    (AggCall("count_star", None, "n2"),),
+                ),
+                None,
+                "cross",
+            ),
+        )
+        before = oracle_tables(hs2)
+        resolve_scan = _HS2ExecutionContext.resolve_scan
+        scans = []
+
+        def committing_resolve_scan(ctx, scan):
+            df = resolve_scan(ctx, scan)
+            scans.append(scan.table)
+            if len(scans) == 1:
+                txn = open_insert(
+                    hs2, "item", pd.DataFrame({"i_item_sk": [50], "i_cat": ["Sports"]})
+                )
+                hs2.writer.insert(txn, "sales", sports_sale(5.0))
+                hs2.hms.txns.commit(txn)
+            return df
+
+        monkeypatch.setattr(_HS2ExecutionContext, "resolve_scan", committing_resolve_scan)
+        r = hs2.execute(q)
+        assert sorted(scans) == ["item", "sales"]
+        assert_equivalent(hs2.spark.createDataFrame(r.result), q.plan.to_sql(), **before)
+
+    def test_update_reads_its_victims_inside_its_transaction(
+        self, v31_server, monkeypatch
+    ):
+        """Two UPDATEs of one partition: the one that read its victims
+        first but commits second loses first-commit-wins, instead of
+        rewriting rows the other has already replaced."""
+        hs2 = v31_server
+        month1 = count_star("month1", Filter(Scan("sales"), col("month").eq(1)))
+        n_month1 = hs2.execute(month1).result["n"].iloc[0]
+        inside, release = threading.Event(), threading.Event()
+        scan = AcidReader.scan
+
+        def held_scan(reader, *args, **kwargs):
+            df = scan(reader, *args, **kwargs)
+            if threading.current_thread() is second:
+                inside.set()
+                release.wait(timeout=120)
+            return df
+
+        monkeypatch.setattr(AcidReader, "scan", held_scan)
+        errors = []
+
+        def update():
+            try:
+                hs2.update_where("sales", col("month").eq(1), {"price": col("price").mul(2)})
+            except Exception as e:  # asserted below
+                errors.append(e)
+
+        second = threading.Thread(target=update)
+        second.start()
+        try:
+            assert inside.wait(timeout=120)
+            hs2.update_where("sales", col("month").eq(1), {"price": col("price").mul(3)})
+        finally:
+            release.set()
+            second.join(timeout=120)
+        assert not second.is_alive()
+        assert len(errors) == 1 and isinstance(errors[0], WriteConflict)
+        r = hs2.execute(month1)
+        assert r.result["n"].iloc[0] == n_month1
+        check_oracle(hs2, r.result, month1.plan)
+
+    def test_query_started_before_view_overwrite_reads_base_tables(
+        self, v31_server, monkeypatch
+    ):
+        """A query whose snapshot predates a rebuild's commit, but which
+        looks for rewritings after it, would read the view's old contents:
+        it must not find the view fresh."""
+        hs2 = v31_server
+        hs2.create_materialized_view("mv_cat", mv_def())
+        hs2.insert("sales", sports_sale(5.0))
+        inside, release = threading.Event(), threading.Event()
+        choose_rewrite = hs2_module.choose_rewrite
+
+        def held_choose_rewrite(*args, **kwargs):
+            if threading.current_thread() is querier:
+                inside.set()
+                release.wait(timeout=120)
+            return choose_rewrite(*args, **kwargs)
+
+        monkeypatch.setattr(hs2_module, "choose_rewrite", held_choose_rewrite)
+        q, reports = by_cat_query(), []
+        querier = threading.Thread(target=lambda: reports.append(hs2.execute(q)))
+        querier.start()
+        try:
+            assert inside.wait(timeout=120)
+            assert hs2.rebuild_materialized_view("mv_cat") == "incremental"
+        finally:
+            release.set()
+            querier.join(timeout=120)
+        assert not querier.is_alive() and len(reports) == 1
+        assert reports[0].mv_used is None
+        check_oracle(hs2, reports[0].result, q.plan)
+        hs2.compactor.clean()
+        r = hs2.execute(q)
+        assert r.mv_used == "mv_cat"
+        check_oracle(hs2, r.result, q.plan)
+
+
+def tpcds_mv_def():
+    """Monthly sales: TPC-DS-lite's q01_yearly_sales rolls up from it."""
+    return Aggregate(
+        Join(Scan("store_sales"), Scan("date_dim"), col("ss_sold_date_sk").eq(col("d_date_sk"))),
+        ("d_year", "d_moy"),
+        (AggCall("sum", col("ss_sales_price"), "sum_sales"), AggCall("count_star", None, "cnt")),
+    )
+
+
+def matches_a_state(spark, result, plan, states) -> bool:
+    """``result`` is the DuckDB answer to ``plan`` at one of ``states``."""
+    for frames in states:
+        try:
+            if result.empty:
+                con = duckdb.connect()
+                for name, t in frames.items():
+                    con.register(name, t)
+                assert con.execute(plan.to_sql()).fetchdf().empty
+                con.close()
+            else:
+                assert_equivalent(spark.createDataFrame(result), plan.to_sql(), **frames)
+            return True
+        except AssertionError:
+            continue
+    return False
+
+
+class TestMixedConcurrency:
+    QUERIES = ("q01_yearly_sales", "q02_semijoin_sports", "q03_partition_quarter",
+               "q07_q88_shape", "q14_state_revenue")
+
+    def test_queries_inserts_and_rebuilds(self, spark, tmp_path):
+        """Four clients run TPC-DS-lite queries on one server with the
+        result cache on while a writer commits k store_sales inserts, each
+        followed by an MV rebuild. Every answer is the oracle's at one of
+        the k+1 committed states, and the MV matches it after the last
+        rebuild."""
+        k, n_clients = 3, 4  # with the writer, more threads than cores
+        queries = [q for q in tpcds_lite.queries() if q.name in self.QUERIES]
+        assert len(queries) == len(self.QUERIES)
+        with HiveServer2(
+            spark, str(tmp_path / "wh"), EngineConfig.v3_1(container_startup_s=0.0)
+        ) as hs2:
+            frames = tpcds_lite.load_into(hs2, sf=0.002)
+            hs2.create_materialized_view("ss_month_mv", tpcds_mv_def())
+            sales = frames["store_sales"]
+            batches = [sales.sample(40, random_state=i) for i in range(k)]
+            states = [
+                {**frames, "store_sales": pd.concat([sales, *batches[:j]], ignore_index=True)}
+                for j in range(k + 1)
+            ]
+            results, errors, started = [], [], threading.Barrier(n_clients + 1)
+
+            def client(offset):
+                try:
+                    started.wait(timeout=120)
+                    for i in range(2 * len(queries)):
+                        q = queries[(offset + i) % len(queries)]
+                        results.append((q, hs2.execute(q).result))
+                except Exception as e:  # reported below with the others
+                    errors.append(e)
+
+            def writer():
+                try:
+                    started.wait(timeout=120)
+                    for batch in batches:
+                        hs2.insert("store_sales", batch)
+                        hs2.rebuild_materialized_view("ss_month_mv")
+                except Exception as e:
+                    errors.append(e)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-4)
+            try:
+                threads = [threading.Thread(target=client, args=(c,)) for c in range(n_clients)]
+                threads.append(threading.Thread(target=writer))
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=600)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            assert len(results) == n_clients * 2 * len(queries)
+            wrong = [q.name for q, result in results
+                     if not matches_a_state(spark, result, q.plan, states)]
+            assert wrong == []
+            mv = hs2.reader.scan("ss_month_mv").toPandas()
+            assert_equivalent(spark.createDataFrame(mv), tpcds_mv_def().to_sql(), **states[-1])
 
 
 class TestLifecycle:

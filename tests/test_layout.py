@@ -26,6 +26,7 @@ from repro.storage.layout import (
     partition_values_from_key,
     read_file_meta,
     select_dirs,
+    visible_rows,
     write_data_file,
 )
 
@@ -97,8 +98,37 @@ class TestSelectDirs:
             [delta_dir(1, 1), delta_dir(3, 3), delta_dir(4, 6)], []
         )
 
+    def test_invalid_base_skipped(self):
+        """An INSERT OVERWRITE's base is not read while its writer is open
+        or after it aborted; the directories it would cover are."""
+        names = [delta_dir(1, 1), base_dir(2), delta_dir(3, 3)]
+        assert selected(names, 3, invalid={2}) == (
+            [delta_dir(1, 1), delta_dir(3, 3)], []
+        )
+        assert selected(names, 3) == ([base_dir(2), delta_dir(3, 3)], [])
+
     def test_empty(self):
         assert selected([], 5) == ([], [])
+
+
+class TestVisibleRows:
+    def _rows(self, wids):
+        return pd.DataFrame({
+            "k": range(len(wids)),
+            "__writeid": wids,
+            "__fileid": [0] * len(wids),
+            "__rowid": range(len(wids)),
+        })
+
+    def test_since_keeps_rows_the_stored_list_does_not_see(self):
+        """An incremental rebuild's delta: rows the statement sees minus
+        those the view's list saw — including a WriteId that was open,
+        below that list's watermark, when the view was built."""
+        now = ValidWriteIdList("t", 4, frozenset({4}))
+        since = ValidWriteIdList("t", 3, frozenset({2}))
+        out = visible_rows(self._rows([1, 2, 3, 4, 5]), None, now, since)
+        assert out["__writeid"].tolist() == [2]
+        assert visible_rows(self._rows([1, 2, 3]), None, now)["k"].tolist() == [0, 1, 2]
 
 
 class TestPartitionKeys:

@@ -134,6 +134,12 @@ def view_def(year_cut=2017):
     )
 
 
+def wids_now(hms):
+    """The WriteId lists of a statement starting now, one table at a time."""
+    snap = hms.txns.snapshot()
+    return lambda t: hms.txns.write_id_lists(snap, [t])[t]
+
+
 def register_mv(pc, name="mat_view", year_cut=2017):
     """Materialize the view's contents and register it in HMS."""
     df = compile_plan(view_def(year_cut), pc)
@@ -144,7 +150,9 @@ def register_mv(pc, name="mat_view", year_cut=2017):
         name=name,
         definition=view_def(year_cut),
         source_tables=["store_sales", "date_dim"],
-        snapshot={"store_sales": 0, "date_dim": 0},
+        snapshot=pc.hms.txns.write_id_lists(
+            pc.hms.txns.snapshot(), ["store_sales", "date_dim"]
+        ),
     )
     pc.hms.register_view(view)
     return view
@@ -374,13 +382,13 @@ class TestPartialContainment:
 class TestChooseRewrite:
     def test_cost_based_choice_uses_view(self, star):
         pc, view, ctx = star
-        plan, used = choose_rewrite(full_query(), pc.hms, ctx.cost)
+        plan, used = choose_rewrite(full_query(), pc.hms, ctx.cost, wids_now(pc.hms))
         assert used == "mat_view"
 
     def test_disabled_view_skipped(self, star):
         pc, view, ctx = star
         view.enabled_for_rewriting = False
-        _, used = choose_rewrite(full_query(), pc.hms, ctx.cost)
+        _, used = choose_rewrite(full_query(), pc.hms, ctx.cost, wids_now(pc.hms))
         assert used is None
 
     def test_stale_view_skipped(self, star):
@@ -388,9 +396,22 @@ class TestChooseRewrite:
         t = pc.hms.txns.open_txn()
         pc.hms.txns.allocate_write_id(t, "store_sales")
         pc.hms.txns.commit(t)
-        assert not is_fresh(pc.hms, view)
-        _, used = choose_rewrite(full_query(), pc.hms, ctx.cost)
+        assert not is_fresh(view, wids_now(pc.hms))
+        _, used = choose_rewrite(full_query(), pc.hms, ctx.cost, wids_now(pc.hms))
         assert used is None
+
+    def test_write_open_at_build_stales_view_on_commit(self, star):
+        """A WriteId open when the view was built is below the watermark
+        the view recorded; its commit must still make the view stale."""
+        pc, view, ctx = star
+        t = pc.hms.txns.open_txn()
+        pc.hms.txns.allocate_write_id(t, "store_sales")
+        view.snapshot = pc.hms.txns.write_id_lists(
+            pc.hms.txns.snapshot(), view.source_tables
+        )
+        assert is_fresh(view, wids_now(pc.hms))
+        pc.hms.txns.commit(t)
+        assert not is_fresh(view, wids_now(pc.hms))
 
     def test_stale_within_window_used(self, star):
         pc, view, ctx = star
@@ -399,9 +420,9 @@ class TestChooseRewrite:
         pc.hms.txns.commit(t)
         view.properties["rewriting.time.window"] = "600"
         view.properties["last.rebuild.time"] = "1000"
-        _, used = choose_rewrite(full_query(), pc.hms, ctx.cost, now=1300.0)
+        _, used = choose_rewrite(full_query(), pc.hms, ctx.cost, wids_now(pc.hms), now=1300.0)
         assert used == "mat_view"
-        _, used2 = choose_rewrite(full_query(), pc.hms, ctx.cost, now=1700.0)
+        _, used2 = choose_rewrite(full_query(), pc.hms, ctx.cost, wids_now(pc.hms), now=1700.0)
         assert used2 is None
 
 

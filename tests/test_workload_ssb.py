@@ -82,7 +82,7 @@ class TestWithNativeMV:
             "supplier",
             "part",
         }
-        assert all(w > 0 for w in v.snapshot.values())
+        assert all(w.high_watermark > 0 for w in v.snapshot.values())
 
 
 class TestWithDruidMV:
