@@ -7,6 +7,8 @@ the WriteId lists of the statement that computed it. A hit is only served
 to a statement with the same lists for the participating tables (passed
 in by HiveServer2; the cache takes no snapshot) — it would read exactly
 the rows the result reflects, the check transactional consistency allows.
+A miss leaves the entry for later statements, and a fill from an older
+snapshot does not replace an entry that sees more.
 
 Also implemented:
 
@@ -66,9 +68,7 @@ class QueryResultCache:
             if entry is None:
                 self.miss_count += 1
                 return None
-            if entry.lists != lists:
-                # stale: the statement reads rows the result does not reflect
-                del self._entries[fp]
+            if entry.lists != lists:  # kept: it may be fresh for later statements
                 self.miss_count += 1
                 return None
             self._entries.move_to_end(fp)
@@ -102,11 +102,14 @@ class QueryResultCache:
     def fill(
         self, plan: Plan, result: pd.DataFrame, lists: dict[str, ValidWriteIdList]
     ) -> None:
-        """Store a result computed under ``lists`` (if cacheable); wakes waiters."""
+        """Store a result computed under ``lists`` (if cacheable) unless the
+        entry there already sees all they see; wakes waiters."""
         fp = plan.fingerprint()
         if self.is_cacheable(plan):
             with self._mutex:
-                self._entries[fp] = CacheEntry(result=result, lists=dict(lists))
+                old = self._entries.get(fp)
+                if old is None or not all(old.lists[t].sees_all_of(l) for t, l in lists.items()):
+                    self._entries[fp] = CacheEntry(result=result, lists=dict(lists))
                 self._entries.move_to_end(fp)
                 while len(self._entries) > self.capacity:
                     self._entries.popitem(last=False)  # LRU eviction

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.expr import (
-    And, BinOp, Col, Func, InList, IsNull, Lit, Not, Or, is_column_equality
+    And, BinOp, Col, InList, IsNull, Lit, Not, Or, is_column_equality
 )
 from repro.core.plan import (
     Aggregate,

@@ -88,8 +88,9 @@ class _HS2ExecutionContext:
 
     Built fresh for each ``execute()`` attempt and each internal
     ``_run_plan()`` call, and dropped when it ends. It holds the
-    statement's ``snapshot`` (shared by its reoptimization attempts), which
-    every scan reads at; for an incremental MV rebuild (§4.4), ``since``
+    statement's ``snapshot`` (shared by its reoptimization attempts) and
+    the WriteId ``lists`` derived from it, each table's once, which every
+    scan reads through; for an incremental MV rebuild (§4.4), ``since``
     maps the changed table to the view's stored list, whose rows the scans
     skip. It also holds the query's runtime Bloom filters (registered by
     the semijoin reducer), whether the query has paid container
@@ -103,10 +104,12 @@ class _HS2ExecutionContext:
         self,
         server: "HiveServer2",
         snapshot: Snapshot,
+        lists: dict[str, ValidWriteIdList] | None = None,
         since: dict[str, ValidWriteIdList] | None = None,
     ):
         self.server = server
         self.snapshot = snapshot
+        self.lists = dict(lists or {})
         self.since = dict(since or {})
         self._container_started = False
         # per-scan runtime-filter sets (semijoin Blooms), id → {col: bloom}
@@ -116,7 +119,9 @@ class _HS2ExecutionContext:
 
     def wids(self, table: str) -> ValidWriteIdList:
         """The statement's WriteId list for ``table``."""
-        return self.server.hms.txns.write_id_lists(self.snapshot, [table])[table]
+        if table not in self.lists:
+            self.lists[table] = self.server.hms.txns.valid_write_ids(self.snapshot, table)
+        return self.lists[table]
 
     # called by the semijoin reducer; the returned id goes on the Scan node
     def register_runtime_blooms(self, blooms: dict[str, object]) -> int:
@@ -295,7 +300,7 @@ class HiveServer2:
     def _rows(self, table: str, snapshot: Snapshot, cond: Expr | None = None) -> pd.DataFrame:
         """The rows of ``table`` (with their identity triple) that
         ``snapshot`` sees, optionally only those matching ``cond``."""
-        wids = self.hms.txns.write_id_lists(snapshot, [table])[table]
+        wids = self.hms.txns.valid_write_ids(snapshot, table)
         df = self.reader.scan(table, wids, include_hidden=True)
         return (df if cond is None else df.filter(cond.to_spark())).toPandas()
 
@@ -350,9 +355,9 @@ class HiveServer2:
         store_in: str = "native",
     ) -> MaterializedView:
         snapshot = self.hms.txns.snapshot()
-        contents = self._run_plan(definition, snapshot)
         sources = sorted(definition.tables())
         current = self.hms.txns.write_id_lists(snapshot, sources)
+        contents = self._run_plan(definition, snapshot, current)
         if store_in == "native":
             self.create_table(Table(name, infer_columns(contents), is_acid=True))
             self.insert(name, contents)
@@ -407,11 +412,11 @@ class HiveServer2:
             and norm.keys is not None
         ):
             mode = "incremental"
-            delta = self._run_plan(view.definition, snapshot, {t: view.snapshot[t]})
+            delta = self._run_plan(view.definition, snapshot, current, {t: view.snapshot[t]})
             old = self._run_plan(Scan(name), snapshot)
             contents = merge_aggregate_states(old, delta, list(norm.keys), list(norm.aggs))
         else:
-            contents = self._run_plan(view.definition, snapshot)
+            contents = self._run_plan(view.definition, snapshot, current)
         self._overwrite_view(name, contents)
         view.snapshot = self._view_lists(name, current)
         view.properties["last.rebuild.time"] = str(time.time())
@@ -444,14 +449,15 @@ class HiveServer2:
                 plan = push_to_druid(plan, self.hms, handler)
         return plan
 
-    def _run_plan(self, plan: Plan, snapshot: Snapshot, since: dict | None = None) -> pd.DataFrame:
-        """Internal execution at ``snapshot`` without caching/rewriting (DDL
-        paths); a table in ``since`` yields only rows its list there lacks."""
+    def _run_plan(self, plan: Plan, snapshot: Snapshot, lists=None, since=None) -> pd.DataFrame:
+        """Internal execution at ``snapshot`` (``lists``: those derived from
+        it so far) without caching/rewriting (DDL paths); a table in
+        ``since`` yields only rows its list there lacks."""
         ctx = OptimizerContext.for_metastore(self.hms)
         stages = v12_stages() if self.config.legacy else default_stages()
         optimized = Optimizer(ctx, stages).optimize(plan)
         optimized = self._push_to_handlers(optimized)
-        return _HS2ExecutionContext(self, snapshot, since).run(optimized)
+        return _HS2ExecutionContext(self, snapshot, lists, since).run(optimized)
 
     def execute(self, query: QuerySpec | Plan) -> ExecutionReport:
         if isinstance(query, Plan):
@@ -482,7 +488,7 @@ class HiveServer2:
 
             def plan_fn(overrides: dict, run_config: dict) -> Plan:
                 nonlocal query_ctx
-                query_ctx = _HS2ExecutionContext(self, snapshot)
+                query_ctx = _HS2ExecutionContext(self, snapshot, lists)
                 ctx = OptimizerContext.for_metastore(self.hms, overrides)
                 plan = query.plan
                 if not self.config.legacy:

@@ -31,6 +31,7 @@ NOT NULL constraints for the same soundness argument.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -95,36 +96,8 @@ class Region:
         return r
 
     def intersect(self, other: "Region") -> "Region":
-        def tighter_lo(a, ai, b, bi):
-            if a == -_INF:
-                return b, bi
-            if b == -_INF:
-                return a, ai
-            try:
-                if a > b:
-                    return a, ai
-                if b > a:
-                    return b, bi
-            except TypeError:
-                return a, ai
-            return a, ai and bi
-
-        def tighter_hi(a, ai, b, bi):
-            if a == _INF:
-                return b, bi
-            if b == _INF:
-                return a, ai
-            try:
-                if a < b:
-                    return a, ai
-                if b < a:
-                    return b, bi
-            except TypeError:
-                return a, ai
-            return a, ai and bi
-
-        lo, lo_inc = tighter_lo(self.lo, self.lo_inc, other.lo, other.lo_inc)
-        hi, hi_inc = tighter_hi(self.hi, self.hi_inc, other.hi, other.hi_inc)
+        lo, lo_inc = _tighter(self.lo, self.lo_inc, other.lo, other.lo_inc, -_INF, operator.gt)
+        hi, hi_inc = _tighter(self.hi, self.hi_inc, other.hi, other.hi_inc, _INF, operator.lt)
         if self.in_set is None:
             s = other.in_set
         elif other.in_set is None:
@@ -165,31 +138,9 @@ class Region:
         if other._values() is not None:
             return False  # infinite ⊄ finite
         # interval containment
-        def lo_ok():
-            if other.lo == -_INF:
-                return True
-            if self.lo == -_INF:
-                return False
-            try:
-                if self.lo > other.lo:
-                    return True
-                return self.lo == other.lo and (other.lo_inc or not self.lo_inc)
-            except TypeError:
-                return False
-
-        def hi_ok():
-            if other.hi == _INF:
-                return True
-            if self.hi == _INF:
-                return False
-            try:
-                if self.hi < other.hi:
-                    return True
-                return self.hi == other.hi and (other.hi_inc or not self.hi_inc)
-            except TypeError:
-                return False
-
-        return lo_ok() and hi_ok()
+        return _within(
+            self.lo, self.lo_inc, other.lo, other.lo_inc, -_INF, operator.gt
+        ) and _within(self.hi, self.hi_inc, other.hi, other.hi_inc, _INF, operator.lt)
 
     def difference_exprs(self, other: "Region", column: str) -> list[Expr] | None:
         """``self − other`` as predicate(s) on ``column``; None if not
@@ -227,6 +178,35 @@ class Region:
                     make_conjunction([p for p in (lower, upper) if p is not None])
                 )
         return pieces
+
+
+def _tighter(a, ai, b, bi, unbounded, inner):
+    """The tighter of bounds ``(a, ai)`` and ``(b, bi)`` (value, inclusive)
+    on one side: ``inner(x, y)`` when ``x`` lies strictly inside ``y``."""
+    if a == unbounded:
+        return b, bi
+    if b == unbounded:
+        return a, ai
+    try:
+        if inner(a, b):
+            return a, ai
+        if inner(b, a):
+            return b, bi
+    except TypeError:
+        return a, ai
+    return a, ai and bi
+
+
+def _within(v, v_inc, bound, bound_inc, unbounded, inner) -> bool:
+    """Whether bound ``(v, v_inc)`` lies within ``(bound, bound_inc)``."""
+    if bound == unbounded:
+        return True
+    if v == unbounded:
+        return False
+    try:
+        return inner(v, bound) or (v == bound and (bound_inc or not v_inc))
+    except TypeError:
+        return False
 
 
 def _pred_region(p: Expr, column: str) -> Region | None:

@@ -19,7 +19,7 @@ structures at compile time.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
 from repro.core.expr import AggCall, Expr

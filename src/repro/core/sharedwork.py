@@ -13,7 +13,6 @@ occurrence reuses the same cached DataFrame (see
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import replace
 
 from repro.core.plan import Plan, Scan
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import pandas as pd
 
 from repro.druid import (
-    COUNT_METRIC,
     TIME_COL,
     DruidCluster,
     DruidDatasource,

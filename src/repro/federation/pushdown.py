@@ -25,7 +25,7 @@ import datetime as _dt
 import json
 from dataclasses import dataclass, field
 
-from repro.core.expr import AggCall, And, BinOp, Col, Expr, Func, InList, Lit, Not, Or
+from repro.core.expr import And, BinOp, Col, Expr, Func, InList, Lit, Not, Or
 from repro.core.plan import (
     Aggregate,
     Filter,

@@ -102,6 +102,12 @@ class ValidWriteIdList:
             mask &= ~write_ids.isin(list(self.invalid))
         return mask
 
+    def sees_all_of(self, other: "ValidWriteIdList") -> bool:
+        """Whether every WriteId ``other`` sees is valid here too."""
+        return other.high_watermark <= self.high_watermark and not any(
+            w <= other.high_watermark and w not in other.invalid for w in self.invalid
+        )
+
 
 @dataclass
 class _Txn:
@@ -215,17 +221,19 @@ class TxnManager:
             return {t: self.valid_write_ids(snapshot, t) for t in tables}
 
     def valid_write_ids(self, snapshot: Snapshot, table: str) -> ValidWriteIdList:
-        """Derive the per-table WriteId list from a transaction list (§3.2)."""
+        """Derive the per-table WriteId list from a transaction list (§3.2).
+        WriteIds of writers begun after the snapshot are invalid too, so a
+        list derived at any later time sees the same rows."""
         with self._mutex:
             wid_txn = self._table_write_txn.get(table, {})
-            hwm_wid = 0
-            invalid: set[int] = set()
-            for wid, owner in wid_txn.items():
-                if owner <= snapshot.high_watermark:
-                    hwm_wid = max(hwm_wid, wid)
-                    if not snapshot.is_visible_txn(owner):
-                        invalid.add(wid)
-            return ValidWriteIdList(table, hwm_wid, frozenset(invalid))
+            hwm_wid = max(
+                (w for w, o in wid_txn.items() if o <= snapshot.high_watermark), default=0
+            )
+            invalid = frozenset(
+                w for w, o in wid_txn.items()
+                if w <= hwm_wid and not snapshot.is_visible_txn(o)
+            )
+            return ValidWriteIdList(table, hwm_wid, invalid)
 
     def updated_or_deleted(
         self, table: str, old: ValidWriteIdList, new: ValidWriteIdList

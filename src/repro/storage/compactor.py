@@ -18,6 +18,7 @@ can never be baked into a base or a merged delta.
 from __future__ import annotations
 
 import shutil
+import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -77,6 +78,7 @@ class Compactor:
     minor_delta_threshold: int = 10
     major_delta_ratio: float = 0.1
     _obsolete: list[Path] = field(default_factory=list)
+    _lock: threading.Lock = field(default_factory=threading.Lock)  # MV rebuilds supersede too
 
     def __post_init__(self) -> None:
         self.warehouse = Path(self.warehouse)
@@ -121,11 +123,13 @@ class Compactor:
         """Leave for :meth:`clean` every other directory of ``kinds`` beside
         ``out`` whose WriteId range ``out``'s covers."""
         _, wmin, wmax = parse_acid_dir(out.name)
-        self._obsolete += [
+        covered = [
             d.path
             for d in list_acid_dirs(out.parent)
             if d.kind in kinds and wmin <= d.wmin and d.wmax <= wmax and d.path != out
         ]
+        with self._lock:
+            self._obsolete += covered
 
     # -- compaction --------------------------------------------------------
 
@@ -163,13 +167,15 @@ class Compactor:
     # -- cleaning (separate phase so in-flight queries finish, §3.2) ------
 
     def clean(self) -> int:
-        """Remove superseded directories; returns how many were removed."""
+        """Remove superseded directories; returns how many were removed.
+        Directories superseded meanwhile are left for the next call."""
+        with self._lock:
+            obsolete, self._obsolete = self._obsolete, []
         n = 0
-        for p in self._obsolete:
+        for p in obsolete:
             if p.exists():
                 shutil.rmtree(p)
                 n += 1
-        self._obsolete.clear()
         return n
 
     # -- automatic triggering ---------------------------------------------

@@ -134,6 +134,31 @@ class TestMajor:
         assert removed == 2
         assert not any(os.path.exists(f) for f in files_before)
 
+    def test_supersede_during_clean_is_kept(self, acid, monkeypatch):
+        """A directory superseded while clean() runs is left for the next
+        clean(), not lost."""
+        import repro.storage.compactor as compactor_module
+
+        acid.run_insert("t", rows([1], [1.0], [10]))
+        acid.run_insert("t", rows([2], [2.0], [10]))
+        acid.compactor.minor_compact("t", "p=10")
+        acid.run_insert("t", rows([3], [3.0], [10]))
+        rmtree = compactor_module.shutil.rmtree
+        calls = []
+
+        def superseding_rmtree(path):
+            if not calls:
+                acid.compactor.major_compact("t", "p=10")
+            calls.append(path)
+            rmtree(path)
+
+        monkeypatch.setattr(compactor_module.shutil, "rmtree", superseding_rmtree)
+        assert acid.compactor.clean() == 2
+        monkeypatch.undo()
+        assert acid.compactor.clean() == 2
+        assert kinds(acid, "t", "p=10") == [(DirKind.BASE, 0, 3)]
+        assert scan_ks(acid) == [1, 2, 3]
+
     def test_empty_partition_noop(self, acid):
         assert not acid.compactor.major_compact("t", "p=99")
 

@@ -483,6 +483,23 @@ def open_insert(hs2, table, pdf) -> int:
     return txn
 
 
+def two_counts():
+    """A query with two scans, one of ``item`` and one of ``sales``."""
+    return QuerySpec(
+        "two_counts",
+        Join(
+            Aggregate(Scan("item"), (), (AggCall("count_star", None, "n1"),)),
+            Aggregate(
+                Filter(Scan("sales"), col("month").ge(1)),
+                (),
+                (AggCall("count_star", None, "n2"),),
+            ),
+            None,
+            "cross",
+        ),
+    )
+
+
 @pytest.fixture(params=["v3_1", "v3_1_container"])
 def cached_server(request, spark, tmp_path):
     """A v3.1 server, LLAP or containers, with the result cache on."""
@@ -579,19 +596,7 @@ class TestStatementSnapshot:
         """A transaction writing both tables commits between the query's
         two scans; both read the state the query started at."""
         hs2 = v31_server
-        q = QuerySpec(
-            "two_counts",
-            Join(
-                Aggregate(Scan("item"), (), (AggCall("count_star", None, "n1"),)),
-                Aggregate(
-                    Filter(Scan("sales"), col("month").ge(1)),
-                    (),
-                    (AggCall("count_star", None, "n2"),),
-                ),
-                None,
-                "cross",
-            ),
-        )
+        q = two_counts()
         before = oracle_tables(hs2)
         resolve_scan = _HS2ExecutionContext.resolve_scan
         scans = []
@@ -611,6 +616,75 @@ class TestStatementSnapshot:
         r = hs2.execute(q)
         assert sorted(scans) == ["item", "sales"]
         assert_equivalent(hs2.spark.createDataFrame(r.result), q.plan.to_sql(), **before)
+
+    def test_write_begun_after_snapshot_stays_unseen(self, v31_server, monkeypatch):
+        """Transaction A is open when a query takes its snapshot. Between the
+        query's two scans an insert B commits to both tables and A then
+        takes the next WriteIds; the second scan must still not see B."""
+        hs2 = v31_server
+        a = hs2.hms.txns.open_txn()
+        q = two_counts()
+        before = oracle_tables(hs2)
+        resolve_scan = _HS2ExecutionContext.resolve_scan
+        scans = []
+
+        def committing_resolve_scan(ctx, scan):
+            df = resolve_scan(ctx, scan)
+            scans.append(scan.table)
+            if len(scans) == 1:
+                b = open_insert(
+                    hs2, "item", pd.DataFrame({"i_item_sk": [50], "i_cat": ["Sports"]})
+                )
+                hs2.writer.insert(b, "sales", sports_sale(5.0))
+                hs2.hms.txns.commit(b)
+                hs2.writer.insert(a, "item", pd.DataFrame({"i_item_sk": [51], "i_cat": ["Sports"]}))
+                hs2.writer.insert(a, "sales", sports_sale(7.0))
+            return df
+
+        monkeypatch.setattr(_HS2ExecutionContext, "resolve_scan", committing_resolve_scan)
+        r = hs2.execute(q)
+        assert sorted(scans) == ["item", "sales"]
+        assert_equivalent(hs2.spark.createDataFrame(r.result), q.plan.to_sql(), **before)
+
+    def test_rebuild_ignores_write_begun_after_its_snapshot(self, v31_server, monkeypatch):
+        """Transaction A is open when an incremental rebuild takes its
+        snapshot; an insert B commits and A takes the next WriteId while the
+        rebuild runs. The rebuild must not contain B, and after A aborts
+        the next rebuild adds B's rows exactly once."""
+        hs2 = v31_server
+        hs2.create_materialized_view("mv_cat", mv_def())
+        hs2.insert("sales", sports_sale(3.0))
+        a = hs2.hms.txns.open_txn()
+        before = oracle_tables(hs2)
+        inside, release = threading.Event(), threading.Event()
+        resolve_scan = _HS2ExecutionContext.resolve_scan
+
+        def held_resolve_scan(ctx, scan):
+            if threading.current_thread() is rebuilder:
+                inside.set()
+                release.wait(timeout=120)
+            return resolve_scan(ctx, scan)
+
+        monkeypatch.setattr(_HS2ExecutionContext, "resolve_scan", held_resolve_scan)
+        modes = []
+        rebuilder = threading.Thread(
+            target=lambda: modes.append(hs2.rebuild_materialized_view("mv_cat"))
+        )
+        rebuilder.start()
+        try:
+            assert inside.wait(timeout=120)
+            hs2.insert("sales", sports_sale(5.0))
+            hs2.writer.insert(a, "sales", sports_sale(7.0))
+        finally:
+            release.set()
+            rebuilder.join(timeout=120)
+        assert not rebuilder.is_alive()
+        assert modes == ["incremental"]
+        mv = hs2.spark.createDataFrame(hs2.reader.scan("mv_cat").toPandas())
+        assert_equivalent(mv, mv_def().to_sql(), **before)
+        hs2.hms.txns.abort(a)
+        assert hs2.rebuild_materialized_view("mv_cat") == "incremental"
+        check_oracle(hs2, hs2.reader.scan("mv_cat").toPandas(), mv_def())
 
     def test_update_reads_its_victims_inside_its_transaction(
         self, v31_server, monkeypatch

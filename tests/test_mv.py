@@ -137,7 +137,7 @@ def view_def(year_cut=2017):
 def wids_now(hms):
     """The WriteId lists of a statement starting now, one table at a time."""
     snap = hms.txns.snapshot()
-    return lambda t: hms.txns.write_id_lists(snap, [t])[t]
+    return lambda t: hms.txns.valid_write_ids(snap, t)
 
 
 def register_mv(pc, name="mat_view", year_cut=2017):

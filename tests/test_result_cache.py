@@ -77,6 +77,17 @@ class TestBasics:
         hms.txns.commit(t)
         assert cache.lookup(plan(), lists(cache)) is None
 
+    def test_older_statement_keeps_newer_entry(self, cache, hms):
+        """A statement at an older snapshot misses without dropping the
+        entry, and its fill does not replace the newer result."""
+        old = lists(cache)
+        commit_write(hms)
+        new = lists(cache)
+        cache.fill(plan(), result(), new)
+        assert cache.lookup(plan(), old) is None
+        cache.fill(plan(), result().head(1), old)
+        assert cache.lookup(plan(), new)["k"].tolist() == [2, 3]
+
     def test_lru_eviction(self, cache):
         cache.capacity = 2
         p1, p2, p3 = (Filter(Scan("t"), col("k").gt(i)) for i in range(3))

@@ -118,6 +118,21 @@ class TestSnapshots:
         wl_a = tm.valid_write_ids(tm.snapshot(), "a")
         assert wl_a.invalid == frozenset()  # b's open writer not in a's list
 
+    def test_valid_write_ids_fixed_at_snapshot(self, tm):
+        """A list derived later from an older snapshot sees the same
+        WriteIds: a write begun after the snapshot stays invalid when a
+        writer open in the snapshot then takes a higher WriteId."""
+        a = tm.open_txn()
+        snap = tm.snapshot()
+        before = tm.valid_write_ids(snap, "a")
+        b = tm.open_txn()
+        w = tm.allocate_write_id(b, "a")
+        tm.commit(b)
+        assert tm.allocate_write_id(a, "a") == w + 1
+        after = tm.valid_write_ids(snap, "a")
+        assert [after.is_valid(x) for x in range(4)] == [False] * 4
+        assert [before.is_valid(x) for x in range(4)] == [False] * 4
+
     def test_write_id_zero_never_valid(self, tm):
         wl = tm.valid_write_ids(tm.snapshot(), "a")
         assert not wl.is_valid(0)
