@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Protocol
 
 from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
 
 from repro.core.plan import (
     Aggregate,
@@ -27,6 +28,7 @@ from repro.core.plan import (
     SetOp,
     Sort,
     Union,
+    Unpivot,
 )
 
 __all__ = ["ExecutionContext", "compile_plan"]
@@ -103,8 +105,6 @@ def _compile(plan, ctx, shared, memo) -> DataFrame:
         return df.agg(*aggs)
     if isinstance(plan, Sort):
         df = rec(plan.child)
-        from pyspark.sql import functions as F
-
         cols = [F.col(c).asc() if asc else F.col(c).desc() for c, asc in plan.keys]
         return df.orderBy(*cols)
     if isinstance(plan, Limit):
@@ -118,4 +118,11 @@ def _compile(plan, ctx, shared, memo) -> DataFrame:
         left, right = rec(plan.left), rec(plan.right)
         # SQL INTERSECT/EXCEPT have DISTINCT semantics.
         return left.intersect(right) if plan.op == "intersect" else left.subtract(right)
+    if isinstance(plan, Unpivot):
+        # one generator over the input, not a union of projections over it
+        rows = [
+            F.struct(*[e.to_spark().alias(n) for n, e in zip(plan.names, row)])
+            for row in plan.rows
+        ]
+        return rec(plan.child).select(F.inline(F.array(*rows)))
     raise TypeError(f"cannot compile {type(plan).__name__}")

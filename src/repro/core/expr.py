@@ -417,30 +417,44 @@ class AggCall:
     """An aggregate call: ``func`` over ``arg`` aliased as ``name``.
 
     ``func`` ∈ {sum, count, min, max, avg, count_star}. ``count_star`` takes
-    ``arg=None``.
+    ``arg=None``. A ``filter`` restricts the call to the rows it holds for
+    (SQL's ``FILTER (WHERE …)``): the shared-work merge gives each branch
+    of a union its own filtered calls over one input (§4.5).
     """
 
     func: str
     arg: Expr | None
     name: str
+    filter: Expr | None = None
 
     def __post_init__(self):
         if self.func not in ("sum", "count", "min", "max", "avg", "count_star"):
             raise ValueError(f"unsupported aggregate {self.func!r}")
 
     def to_spark(self) -> Column:
-        if self.func == "count_star":
-            return F.count(F.lit(1)).alias(self.name)
-        spark_fn = {"sum": F.sum, "count": F.count, "min": F.min, "max": F.max, "avg": F.avg}
-        return spark_fn[self.func](self.arg.to_spark()).alias(self.name)
+        arg = F.lit(1) if self.func == "count_star" else self.arg.to_spark()
+        if self.filter is not None:
+            arg = F.when(self.filter.to_spark(), arg)
+        spark_fn = {
+            "sum": F.sum, "count": F.count, "count_star": F.count,
+            "min": F.min, "max": F.max, "avg": F.avg,
+        }
+        return spark_fn[self.func](arg).alias(self.name)
 
     def to_sql(self) -> str:
-        if self.func == "count_star":
-            return f"COUNT(*) AS {self.name}"
-        return f"{self.func.upper()}({self.arg.to_sql()}) AS {self.name}"
+        call = "COUNT(*)" if self.func == "count_star" else (
+            f"{self.func.upper()}({self.arg.to_sql()})"
+        )
+        if self.filter is not None:
+            call += f" FILTER (WHERE {self.filter.to_sql()})"
+        return f"{call} AS {self.name}"
+
+    def exprs(self) -> list[Expr]:
+        """The argument and the filter, where present."""
+        return [e for e in (self.arg, self.filter) if e is not None]
 
     def columns(self) -> set[str]:
-        return self.arg.columns() if self.arg is not None else set()
+        return set().union(*(e.columns() for e in self.exprs()))
 
 
 # -- convenience ----------------------------------------------------------

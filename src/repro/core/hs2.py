@@ -41,10 +41,14 @@ from repro.core.expr import Expr
 from repro.core.features import EngineConfig
 from repro.core.mv import choose_rewrite, merge_aggregate_states, normalize_spja
 from repro.core.optimizer import Optimizer, OptimizerContext, default_stages, v12_stages
-from repro.core.plan import Filter, ForeignQuery, Plan, Scan
+from repro.core.plan import Filter, ForeignQuery, Plan, Scan, Unpivot
 from repro.core.reopt import ReoptimizingExecutor
 from repro.core.semijoin import ReductionReport, apply_reduction
-from repro.core.sharedwork import find_shared_subtrees, merge_equivalent_scans
+from repro.core.sharedwork import (
+    find_shared_subtrees,
+    merge_equivalent_scans,
+    merge_union_aggregates,
+)
 from repro.druid import TIME_COL
 from repro.federation.handler import StorageHandler
 from repro.llap import LlapCache, LlapDaemon
@@ -239,6 +243,9 @@ class HiveServer2:
         hms: HiveMetastore | None = None,
     ):
         self.spark = spark
+        # both arms hand pandas frames to Spark and collect results as
+        # pandas; without Arrow the LLAP arm runs ~3x slower
+        spark.conf.set("spark.sql.execution.arrow.pyspark.enabled", "true")
         self.warehouse = str(warehouse)
         self.config = config or EngineConfig.v3_1()
         self.hms = hms or HiveMetastore()
@@ -504,15 +511,19 @@ class HiveServer2:
 
             def run_fn(plan: Plan, run_config: dict) -> pd.DataFrame:
                 # shared work (§4.5), applied just before execution:
-                # merge same-table scans to a common denominator, then
-                # compute maximal repeated subtrees once (min_size=1 —
-                # merging "starts from scan operations over the same tables")
+                # merge same-table scans to a common denominator, turn
+                # unions of global aggregates over one input into one
+                # pass, then compute the maximal repeated subtrees left
+                # once (min_size=1 — merging "starts from scan operations
+                # over the same tables"); each merged union counts as
+                # one shared subtree
                 if self.config.shared_work:
-                    plan = merge_equivalent_scans(plan)
+                    plan = merge_union_aggregates(merge_equivalent_scans(plan))
                     shared = find_shared_subtrees(plan, min_size=1)
                 else:
                     shared = set()
-                report.shared_subtrees = len(shared)
+                merged = sum(isinstance(n, Unpivot) for n in plan.walk())
+                report.shared_subtrees = len(shared) + merged
                 report.final_plan = plan
                 result = query_ctx.run(plan, shared)
                 if self.failure_injector is not None:

@@ -35,6 +35,7 @@ __all__ = [
     "Limit",
     "Union",
     "SetOp",
+    "Unpivot",
     "ForeignQuery",
     "output_columns",
 ]
@@ -86,9 +87,11 @@ def _exprs_of(node: "Plan") -> list[Expr]:
     if isinstance(node, Join):
         return [node.cond] if node.cond is not None else []
     if isinstance(node, Aggregate):
-        return [a.arg for a in node.aggs if a.arg is not None]
+        return [e for a in node.aggs for e in a.exprs()]
     if isinstance(node, Scan):
         return list(node.pushed_filters)
+    if isinstance(node, Unpivot):
+        return [e for row in node.rows for e in row]
     return []
 
 
@@ -218,6 +221,24 @@ class SetOp(Plan):
 
 
 @dataclass(frozen=True, repr=True)
+class Unpivot(Plan):
+    """Each input row becomes ``len(rows)`` output rows: output row ``k``
+    holds ``rows[k]``'s expressions (over the input's columns) under
+    ``names``. The shared-work merge ends with one (§4.5), turning the
+    merged aggregate's single row back into one row per union branch."""
+
+    child: Plan
+    names: tuple[str, ...]
+    rows: tuple[tuple[Expr, ...], ...]
+
+    def children(self):
+        return (self.child,)
+
+    def with_children(self, child):
+        return replace(self, child=child)
+
+
+@dataclass(frozen=True, repr=True)
 class ForeignQuery(Plan):
     """A subtree pushed to an external system via a storage handler (§6.2).
 
@@ -260,6 +281,8 @@ def output_columns(plan: Plan, catalog) -> list[str]:
         return output_columns(plan.inputs[0], catalog)
     if isinstance(plan, SetOp):
         return output_columns(plan.left, catalog)
+    if isinstance(plan, Unpivot):
+        return list(plan.names)
     if isinstance(plan, ForeignQuery):
         return list(plan.schema)
     raise TypeError(f"unknown plan node {type(plan).__name__}")
@@ -333,6 +356,19 @@ def _to_sql(plan: Plan, depth: int) -> tuple[str, int]:
         ri, d2 = _to_sql(plan.right, d1)
         kw = "INTERSECT" if plan.op == "intersect" else "EXCEPT"
         return f"({li}) {kw} ({ri})", d2
+    if isinstance(plan, Unpivot):
+        # one pass over the input: cross it with the row numbers and pick
+        # each output column's expression for that row
+        inner, d = _to_sql(plan.child, depth + 1)
+        k = f"k{depth}"
+        values = ", ".join(f"({i})" for i in range(len(plan.rows)))
+        sel = ", ".join(
+            "CASE " + " ".join(
+                f"WHEN {k} = {i} THEN {row[j].to_sql()}" for i, row in enumerate(plan.rows)
+            ) + f" END AS {name}"
+            for j, name in enumerate(plan.names)
+        )
+        return f"SELECT {sel} FROM ({inner}) {a} CROSS JOIN (VALUES {values}) v{depth}({k})", d
     if isinstance(plan, ForeignQuery):
         raise ValueError("ForeignQuery has no SQL form; oracle-check the pre-pushdown plan")
     raise TypeError(f"unknown plan node {type(plan).__name__}")

@@ -367,12 +367,10 @@ def prune_columns(plan: Plan, ctx) -> Plan:
             return replace(node, child=required(node.child, need))
         if isinstance(node, Limit):
             return replace(node, child=required(node.child, needed))
-        if isinstance(node, (Union,)):
-            # all branches must keep identical schemas — only prune when the
-            # full output is required anyway
-            return node
-        if isinstance(node, SetOp):
-            return node
+        if isinstance(node, (Union, SetOp)):
+            # branches keep their schemas (and DISTINCT its meaning): each
+            # is pruned below its own top operator only
+            return node.with_children(*[required(c, None) for c in node.children()])
         return node
 
     return required(plan, None)

@@ -56,6 +56,9 @@ class TestSql:
     def test_agg_calls(self):
         assert AggCall("sum", col("v"), "s").to_sql() == "SUM(v) AS s"
         assert AggCall("count_star", None, "c").to_sql() == "COUNT(*) AS c"
+        filtered = AggCall("count_star", None, "c", filter=col("h").eq(1))
+        assert filtered.to_sql() == "COUNT(*) FILTER (WHERE (h = 1)) AS c"
+        assert AggCall("sum", col("v"), "s", filter=col("h").eq(1)).columns() == {"v", "h"}
 
     def test_bad_agg(self):
         with pytest.raises(ValueError):

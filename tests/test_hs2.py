@@ -11,7 +11,7 @@ from repro.core.expr import AggCall, And, Col, Func, InList, col
 from repro.core.features import EngineConfig, SQLFeature, UnsupportedSQLError
 import repro.core.hs2 as hs2_module
 from repro.core.hs2 import HiveServer2, QuerySpec, _HS2ExecutionContext
-from repro.core.plan import Aggregate, Filter, Join, Scan, SetOp, Project, Union
+from repro.core.plan import Aggregate, Filter, Join, Scan, SetOp, Project, Union, Unpivot
 from repro.core.reopt import ExecutionError
 from repro.metastore import Column, Table, WriteConflict
 from repro.oracle import assert_equivalent
@@ -468,6 +468,33 @@ class TestPerQueryContext:
             check_oracle(hs2, r.result, q.plan)
 
 
+    def test_shared_subtree_released_without_union(self, v31_server, spark):
+        """A self-join of one filtered scan is not a union of aggregates:
+        shared work persists the scan's subtree and releases it."""
+        hs2 = v31_server
+        base = Filter(Scan("sales"), col("price").gt(0.5))
+        q = QuerySpec(
+            "self_join",
+            Aggregate(
+                Join(
+                    Project(base, (("l_item", col("item_sk")),)),
+                    Project(base, (("r_item", col("item_sk")),)),
+                    col("l_item").eq(col("r_item")),
+                ),
+                (),
+                (AggCall("count_star", None, "n"),),
+            ),
+        )
+        persistent = spark.sparkContext._jsc.getPersistentRDDs
+        before = persistent().size()
+        for _ in range(2):
+            r = hs2.execute(q)
+            assert r.shared_subtrees >= 1
+            assert not any(isinstance(n, Unpivot) for n in r.final_plan.walk())
+            assert persistent().size() == before
+            check_oracle(hs2, r.result, q.plan)
+
+
 def count_star(name, plan):
     return QuerySpec(name, Aggregate(plan, (), (AggCall("count_star", None, "n"),)))
 
@@ -868,6 +895,17 @@ class TestLifecycle:
         hs2.close()
         with pytest.raises(RuntimeError):
             hs2.daemon.submit_fragment(lambda: None)
+
+    def test_server_turns_arrow_on(self, spark, tmp_path):
+        """A server works the same on a session built without Arrow."""
+        key = "spark.sql.execution.arrow.pyspark.enabled"
+        spark.conf.set(key, "false")
+        try:
+            with make_server(spark, tmp_path) as hs2:
+                assert spark.conf.get(key) == "true"
+                check_oracle(hs2, hs2.execute(star_query()).result, star_query().plan)
+        finally:
+            spark.conf.set(key, "true")
 
     def test_close_without_daemon(self, spark, tmp_path):
         with HiveServer2(

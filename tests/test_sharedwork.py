@@ -1,14 +1,19 @@
-"""Shared work optimizer (§4.5): maximal equal-subtree detection + reuse."""
+"""Shared work optimizer (§4.5): maximal equal-subtree detection + reuse,
+and the merge of a union of global aggregates into one pass."""
+import numpy as np
 import pandas as pd
 import pytest
 
 from repro.core.compile import compile_plan
 from repro.core.context import PandasContext
-from repro.core.expr import AggCall, col
-from repro.core.plan import Aggregate, Filter, Join, Project, Scan, Union
-from repro.core.sharedwork import count_shared_occurrences, find_shared_subtrees
-from repro.metastore import HiveMetastore
+from repro.core.expr import AggCall, And, col
+from repro.core.features import EngineConfig
+from repro.core.hs2 import HiveServer2, _HS2ExecutionContext
+from repro.core.plan import Aggregate, Filter, Join, Project, Scan, Union, Unpivot
+from repro.core.sharedwork import find_shared_subtrees, merge_union_aggregates
+from repro.metastore import Column, HiveMetastore, Table
 from repro.oracle import assert_equivalent
+from repro.workloads import tpcds_lite
 
 
 def q88_shape(n_branches=4):
@@ -70,8 +75,8 @@ class TestDetection:
         plan = q88_shape(4)
         shared = find_shared_subtrees(plan, min_size=2)
         base = Filter(Scan("fact"), col("v").gt(0.1))
-        occ = count_shared_occurrences(plan, shared)
-        assert occ[base.fingerprint()] == 4
+        assert base.fingerprint() in shared
+        assert sum(node == base for node in plan.walk()) == 4
 
 
 class TestExecution:
@@ -158,3 +163,201 @@ class TestMergeEquivalentScans:
         out = merge_equivalent_scans(Union((a, b)))
         s = next(n for n in out.walk() if isinstance(n, Scan))
         assert s.partitions is None
+
+
+AGGS = (
+    AggCall("count_star", None, "n"),
+    AggCall("sum", col("v"), "s"),
+    AggCall("avg", col("v"), "a"),
+    AggCall("min", col("v"), "lo"),
+    AggCall("count", col("w"), "nw"),
+)
+
+
+def agg_union(conds, table="fact", project=True):
+    """One global aggregate per condition (None: unfiltered) over
+    ``table``, unioned; with ``project``, each branch is tagged."""
+    branches = []
+    for i, cond in enumerate(conds):
+        branch = Aggregate(Scan(table) if cond is None else Filter(Scan(table), cond), (), AGGS)
+        if project:
+            tag = col("n").mul(0).add(i)
+            branch = Project(branch, (("branch", tag),) + tuple((a.name, col(a.name)) for a in AGGS))
+        branches.append(branch)
+    return Union(tuple(branches), all=True)
+
+
+# unions the merge does not cover: grouped aggregates, aggregates over
+# different inputs, and a DISTINCT union
+LEFT_ALONE = [
+    Union(
+        (
+            Aggregate(Filter(Scan("fact"), col("h").eq(0)), ("h",), AGGS),
+            Aggregate(Filter(Scan("fact"), col("h").eq(1)), ("h",), AGGS),
+        )
+    ),
+    Union(
+        (
+            agg_union([col("h").eq(0)]).inputs[0],
+            agg_union([col("h").eq(1)], table="other").inputs[0],
+        )
+    ),
+    Union(agg_union([col("h").eq(0), col("h").eq(0)]).inputs, all=False),
+]
+LEFT_ALONE_IDS = ["grouped", "different_inputs", "union_distinct"]
+
+
+class TestMergeUnionAggregates:
+    def test_q88_shape_becomes_one_aggregate(self):
+        plan = q88_shape(4)
+        out = merge_union_aggregates(plan)
+        assert isinstance(out, Unpivot)
+        assert out.names == ("branch", "c")
+        agg = out.child
+        assert isinstance(agg, Aggregate) and agg.keys == ()
+        # one filtered call per branch over the shared input
+        assert agg.child == Filter(Scan("fact"), col("v").gt(0.1))
+        assert [a.filter for a in agg.aggs] == [col("h").eq(i) for i in range(4)]
+        assert len({a.name for a in agg.aggs}) == 4
+
+    def test_common_conjuncts_stay_below(self):
+        conds = [And(col("v").gt(0.1), col("h").eq(i)) for i in range(3)]
+        out = merge_union_aggregates(agg_union(conds))
+        assert out.child.child == Filter(Scan("fact"), col("v").gt(0.1))
+        assert {a.filter for a in out.child.aggs} == {col("h").eq(i) for i in range(3)}
+
+    def test_unfiltered_branch_shares_no_conjunct(self):
+        out = merge_union_aggregates(agg_union([None, col("h").eq(1)]))
+        assert out.child.child == Scan("fact")
+        assert [a.filter for a in out.child.aggs[:len(AGGS)]] == [None] * len(AGGS)
+
+    @pytest.mark.parametrize(
+        "plan",
+        LEFT_ALONE + [
+            Union(
+                (
+                    Aggregate(Scan("fact"), (), (AggCall("count_star", None, "n"),)),
+                    Aggregate(Scan("fact"), (), (AggCall("count_star", None, "m"),)),
+                )
+            )
+        ],
+        ids=LEFT_ALONE_IDS + ["different_names"],
+    )
+    def test_shapes_left_alone(self, plan):
+        assert merge_union_aggregates(plan) == plan
+
+
+FACT_COLUMNS = [Column("v", "double"), Column("w", "double"), Column("h", "bigint")]
+
+
+@pytest.fixture(params=["v3_1", "v3_1_container"])
+def server(request, spark, tmp_path):
+    """A server in either arm with ``fact`` (100 rows, ``w`` partly NULL),
+    ``other`` (same schema) and the empty ``empty``."""
+    config = getattr(EngineConfig, request.param)(container_startup_s=0.0, result_cache=False)
+    with HiveServer2(spark, str(tmp_path / "wh"), config) as hs2:
+        for name in ("fact", "other", "empty"):
+            hs2.create_table(Table(name, list(FACT_COLUMNS)))
+        v = np.array([0.05, 0.2, 0.5, 0.9] * 25)
+        hs2.insert("fact", pd.DataFrame({"v": v, "w": np.where(v > 0.3, v, np.nan), "h": [0, 1, 2, 3] * 25}))
+        hs2.insert("other", pd.DataFrame({"v": [1.0, 2.0], "w": [1.0, 2.0], "h": [0, 1]}))
+        yield hs2
+
+
+def check(hs2, r, plan):
+    """The result equals DuckDB's answer to the query, and so does the
+    plan that ran, rewrites included."""
+    tables = {t: hs2.reader.scan(t).toPandas() for t in ("fact", "other", "empty")}
+    for sql in (plan.to_sql(), r.final_plan.to_sql()):
+        assert_equivalent(hs2.spark.createDataFrame(r.result), sql, **tables)
+
+
+def merged(r) -> bool:
+    return any(isinstance(n, Unpivot) for n in r.final_plan.walk())
+
+
+class TestMergeExecution:
+    def test_filtered_aggregates_with_project(self, server):
+        plan = agg_union([col("h").eq(0), col("h").eq(2), And(col("h").eq(3), col("v").gt(0.3))])
+        r = server.execute(plan)
+        assert merged(r) and r.shared_subtrees == 1
+        assert len(r.result) == 3
+        check(server, r, plan)
+
+    def test_aggregates_without_project(self, server):
+        plan = agg_union([None, col("h").eq(1), col("w").gt(0.6)], project=False)
+        r = server.execute(plan)
+        assert merged(r)
+        check(server, r, plan)
+
+    def test_branches_of_different_types(self, server):
+        """A bigint sum and a double average share one output column."""
+        plan = Union(
+            (
+                Aggregate(Filter(Scan("fact"), col("h").eq(1)), (), (AggCall("sum", col("h"), "x"),)),
+                Aggregate(Filter(Scan("fact"), col("h").eq(2)), (), (AggCall("avg", col("v"), "x"),)),
+            )
+        )
+        r = server.execute(plan)
+        assert merged(r)
+        check(server, r, plan)
+
+    def test_branch_matching_no_rows(self, server):
+        plan = agg_union([col("h").eq(2), col("h").eq(99)])
+        r = server.execute(plan)
+        assert merged(r)
+        none = r.result[r.result["branch"] == 1].iloc[0]
+        assert none["n"] == 0 and none["nw"] == 0
+        assert pd.isna(none["s"]) and pd.isna(none["lo"])
+        check(server, r, plan)
+
+    def test_empty_table(self, server):
+        plan = agg_union([None, col("h").eq(1)], table="empty")
+        r = server.execute(plan)
+        assert merged(r)
+        assert sorted(r.result["n"]) == [0, 0]
+        assert r.result["s"].isna().all()
+        check(server, r, plan)
+
+    @pytest.mark.parametrize("plan", LEFT_ALONE, ids=LEFT_ALONE_IDS)
+    def test_shapes_left_alone(self, server, plan):
+        r = server.execute(plan)
+        assert not merged(r)
+        check(server, r, plan)
+
+    def test_one_aggregate_feeds_one_generator(self, server):
+        plan = agg_union([col("h").eq(i) for i in range(4)])
+        r = server.execute(plan)
+        ctx = _HS2ExecutionContext(server, server.hms.txns.snapshot())
+        optimized = compile_plan(r.final_plan, ctx)._jdf.queryExecution().optimizedPlan()
+        ops = [line.lstrip(" :+-") for line in optimized.toString().splitlines()]
+        assert sum(op.startswith("Aggregate") for op in ops) == 1
+        assert sum(op.startswith("Generate") for op in ops) == 1
+        assert not any(op.startswith(("Union", "InMemoryRelation")) for op in ops)
+
+    def test_q07_scans_once_and_persists_nothing(self, server, spark, monkeypatch):
+        tpcds_lite.load_into(server, sf=0.002)
+        q07 = next(q for q in tpcds_lite.queries() if q.name == "q07_q88_shape")
+        scans, persisted = [], []
+        resolve_scan = _HS2ExecutionContext.resolve_scan
+        frame_class = type(spark.range(1))  # the session's DataFrame class
+        persist = frame_class.persist
+
+        def counting_scan(ctx, scan):
+            scans.append(scan.table)
+            return resolve_scan(ctx, scan)
+
+        def counting_persist(df, *args, **kwargs):
+            persisted.append(df)
+            return persist(df, *args, **kwargs)
+
+        monkeypatch.setattr(_HS2ExecutionContext, "resolve_scan", counting_scan)
+        monkeypatch.setattr(frame_class, "persist", counting_persist)
+        rdds = spark.sparkContext._jsc.getPersistentRDDs
+        before = rdds().size()
+        r = server.execute(q07)
+        assert scans == ["store_sales"]
+        assert persisted == [] and rdds().size() == before
+        assert r.shared_subtrees == 1
+        frames = {t: server.reader.scan(t).toPandas() for t in ("store_sales",)}
+        assert_equivalent(spark.createDataFrame(r.result), q07.plan.to_sql(), **frames)

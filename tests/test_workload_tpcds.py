@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.features import EngineConfig, UnsupportedSQLError
 from repro.core.hs2 import HiveServer2
+from repro.core.plan import Scan
 from repro.oracle import assert_equivalent
 from repro.workloads import tpcds_lite
 
@@ -42,6 +43,45 @@ class TestV31:
             assert len(con.execute(q.plan.to_sql()).fetchdf()) == 0
             return
         assert_equivalent(df, q.plan.to_sql(), **frames)
+
+
+# the columns each scanned table's scans read, for the queries whose
+# scans sit below a UNION ALL, INTERSECT or EXCEPT
+SET_OP_COLUMNS = {
+    "q07_q88_shape": {"store_sales": {"ss_quantity", "ss_sales_price"}},
+    "q08_intersect_years": {
+        "date_dim": {"d_date_sk", "d_year"},
+        "store_sales": {"ss_sold_date_sk", "ss_item_sk"},
+    },
+    "q09_except_returns": {"store_sales": {"ss_item_sk"}, "store_returns": {"sr_item_sk"}},
+    "q13_grouping_sets": {
+        "date_dim": {"d_date_sk", "d_year"},
+        "store_sales": {"ss_sold_date_sk", "ss_sales_price"},
+    },
+}
+
+
+class TestColumnPruningUnderSetOps:
+    @pytest.mark.parametrize("name", sorted(SET_OP_COLUMNS))
+    def test_scans_read_only_referenced_columns(self, env, name):
+        cached, frames = env
+        # a server on the same data whose every execution plans and runs
+        hs2 = HiveServer2(
+            cached.spark,
+            cached.warehouse,
+            EngineConfig.v3_1(container_startup_s=0.0, result_cache=False),
+            hms=cached.hms,
+        )
+        q = next(q for q in ALL_QUERIES if q.name == name)
+        with hs2:
+            r = hs2.execute(q)
+        read: dict[str, set] = {}
+        for scan in r.final_plan.walk():
+            if isinstance(scan, Scan):
+                assert scan.columns is not None
+                read.setdefault(scan.table, set()).update(scan.columns)
+        assert read == SET_OP_COLUMNS[name]
+        assert_equivalent(hs2.spark.createDataFrame(r.result), q.plan.to_sql(), **frames)
 
 
 class TestV12Gate:
