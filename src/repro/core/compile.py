@@ -1,7 +1,8 @@
 """Physical compilation: logical plan → Spark DataFrame (Catalyst executes).
 
-This is the HS2 "physical plan" stage (Figure 2). Scans are delegated to an
-:class:`ExecutionContext` so the same plan can execute against the ACID
+This is the HS2 "physical plan" stage (Figure 2). Scans and foreign
+queries are delegated to the query's execution context
+(:class:`repro.core.hs2._HS2ExecutionContext`), which reads through the ACID
 snapshot reader (container mode), the LLAP elevator (cached, row-group
 skipping), or a federated system (``ForeignQuery``). Shared-work reuse
 (§4.5) hooks in here: subtrees whose fingerprints are listed in
@@ -11,7 +12,7 @@ when the query ends.
 """
 from __future__ import annotations
 
-from typing import Protocol
+from typing import TYPE_CHECKING
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
@@ -31,17 +32,10 @@ from repro.core.plan import (
     Unpivot,
 )
 
-__all__ = ["ExecutionContext", "compile_plan"]
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.hs2 import _HS2ExecutionContext
 
-
-class ExecutionContext(Protocol):
-    """What the compiler needs from the runtime."""
-
-    def resolve_scan(self, scan: Scan) -> DataFrame:  # pragma: no cover
-        ...
-
-    def resolve_foreign(self, fq: ForeignQuery) -> DataFrame:  # pragma: no cover
-        ...
+__all__ = ["compile_plan"]
 
 
 _JOIN_HOW = {
@@ -54,7 +48,7 @@ _JOIN_HOW = {
 
 def compile_plan(
     plan: Plan,
-    ctx: ExecutionContext,
+    ctx: _HS2ExecutionContext,
     shared_fingerprints: set[str] | None = None,
     _memo: dict[str, DataFrame] | None = None,
 ) -> DataFrame:

@@ -36,7 +36,6 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.bloom import BloomFilter
 from repro.core.cache import QueryResultCache
 from repro.core.compile import compile_plan
-from repro.core.context import infer_columns
 from repro.core.expr import Expr
 from repro.core.features import EngineConfig
 from repro.core.mv import choose_rewrite, merge_aggregate_states, normalize_spja
@@ -58,6 +57,7 @@ from repro.metastore import (
     Snapshot,
     Table,
     ValidWriteIdList,
+    infer_columns,
 )
 from repro.storage import AcidReader, AcidWriter, Compactor
 from repro.storage.layout import base_dir
@@ -163,34 +163,30 @@ class _HS2ExecutionContext:
             return None
         needed = {column} | {c for cond in conds for c in cond.columns()}
         cols = [c for c in table.column_names() if c in needed]
+        pdf = s.daemon.scan_table(
+            node.table,
+            self.wids(node.table),
+            partitions=list(node.partitions) if node.partitions is not None else None,
+            columns=cols,
+            since=self.since.get(node.table),
+        )
         try:
-            pdf = s.daemon.scan_table(
-                node.table,
-                self.wids(node.table),
-                partitions=list(node.partitions) if node.partitions is not None else None,
-                columns=cols,
-                since=self.since.get(node.table),
-            )
             for cond in conds:
                 if pdf.empty:
                     break
                 pdf = pdf[cond.evaluate_vector(pdf).astype(bool)]
-        except Exception:
-            return None  # unsupported expression form → engine fallback
+        except (ValueError, NotImplementedError):
+            return None  # a form only the engine evaluates → engine fallback
         return pdf[column].dropna().unique().tolist()
 
     def resolve_scan(self, scan: Scan) -> DataFrame:
         s = self.server
         table = s.hms.get_table(scan.table)
-        if table.storage_handler in s.handlers:
-            handler = s.handlers[table.storage_handler]
-            pdf = handler.input_format(table)
-            df = s.spark.createDataFrame(pdf)
-            if scan.columns is not None:
-                df = df.select(*scan.columns)
-            return df
-
         cols = list(scan.columns) if scan.columns is not None else table.column_names()
+        if table.storage_handler in s.handlers:
+            pdf = s.handlers[table.storage_handler].input_format(table)
+            return self._from_handler(pdf, table, cols)
+
         partitions = list(scan.partitions) if scan.partitions is not None else None
         wids, since = self.wids(scan.table), self.since.get(scan.table)
 
@@ -224,14 +220,17 @@ class _HS2ExecutionContext:
 
     def resolve_foreign(self, fq: ForeignQuery) -> DataFrame:
         s = self.server
-        handler = s.handlers[fq.handler]
-        pdf = handler.execute_query(fq.table, json.loads(fq.query_repr))
-        pdf = pdf[list(fq.schema)]  # column order per the plan's schema
+        pdf = s.handlers[fq.handler].execute_query(fq.table, json.loads(fq.query_repr))
+        return self._from_handler(pdf, s.hms.get_table(fq.table), list(fq.schema))
+
+    def _from_handler(self, pdf: pd.DataFrame, table: Table, cols: list[str]) -> DataFrame:
+        """A storage handler's answer with columns ``cols``, in that order.
+        An empty answer may lack the columns and always lacks their types,
+        so it is typed from the table instead."""
+        spark = self.server.spark
         if pdf.empty:
-            # empty frames carry object dtypes — build the schema explicitly
-            schema = spark_schema(s.hms.get_table(fq.table), list(fq.schema))
-            return s.spark.createDataFrame([], schema)
-        return s.spark.createDataFrame(pdf)
+            return spark.createDataFrame([], spark_schema(table, cols))
+        return spark.createDataFrame(pdf[cols])
 
 
 class HiveServer2:

@@ -168,17 +168,15 @@ def apply_reduction(
     if not opportunities:
         return plan, report
 
-    # evaluate dimension sides once each (dedup by fingerprint); contexts
-    # may offer a vectorized fast path (LLAP evaluates small dimension
-    # subexpressions daemon-side instead of launching an engine job)
+    # evaluate dimension sides once each (dedup by fingerprint); in LLAP
+    # mode the context evaluates small dimension subexpressions daemon-side
+    # instead of launching an engine job
     values_by_opp: dict[int, list] = {}
     seen: dict[tuple[str, str], list] = {}
     for i, opp in enumerate(opportunities):
         key = (opp.source_plan.fingerprint(), opp.source_column)
         if key not in seen:
-            vals = None
-            if hasattr(query_ctx, "collect_values"):
-                vals = query_ctx.collect_values(opp.source_plan, opp.source_column)
+            vals = query_ctx.collect_values(opp.source_plan, opp.source_column)
             if vals is None:
                 df = compile_plan(opp.source_plan, query_ctx)
                 vals = [
@@ -238,7 +236,7 @@ def apply_reduction(
                 )
                 if rf.n_values:
                     scan_blooms[opp.target_column] = rf
-        if scan_blooms and hasattr(query_ctx, "register_runtime_blooms"):
+        if scan_blooms:
             new = replace(
                 new, runtime_filter_id=query_ctx.register_runtime_blooms(scan_blooms)
             )

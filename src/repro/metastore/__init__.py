@@ -1,5 +1,5 @@
 """Hive Metastore (HMS) substrate: catalog, statistics, transactions."""
-from .catalog import Column, Constraint, HiveMetastore, MaterializedView, Table
+from .catalog import Column, Constraint, HiveMetastore, MaterializedView, Table, infer_columns
 from .hll import HyperLogLog
 from .stats import ColumnStats, TableStats, collect_stats
 from .txn import (
@@ -19,6 +19,7 @@ __all__ = [
     "HiveMetastore",
     "MaterializedView",
     "Table",
+    "infer_columns",
     "HyperLogLog",
     "ColumnStats",
     "TableStats",

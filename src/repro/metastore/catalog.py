@@ -14,19 +14,46 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
+import pandas as pd
+
 from .stats import TableStats
 from .txn import TxnManager, ValidWriteIdList
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.plan import Plan
 
-__all__ = ["Column", "Constraint", "Table", "MaterializedView", "HiveMetastore"]
+__all__ = [
+    "Column",
+    "Constraint",
+    "Table",
+    "MaterializedView",
+    "HiveMetastore",
+    "infer_columns",
+]
 
 
 @dataclass(frozen=True)
 class Column:
     name: str
     dtype: str  # 'int' | 'bigint' | 'double' | 'string' | 'date' | 'timestamp' | 'decimal(p,s)'
+
+
+def infer_columns(pdf: pd.DataFrame) -> list[Column]:
+    """Catalog column list from pandas dtypes."""
+    out = []
+    for name, dtype in pdf.dtypes.items():
+        if pd.api.types.is_integer_dtype(dtype):
+            t = "bigint"
+        elif pd.api.types.is_float_dtype(dtype):
+            t = "double"
+        elif pd.api.types.is_datetime64_any_dtype(dtype):
+            t = "timestamp"
+        elif pd.api.types.is_bool_dtype(dtype):
+            t = "boolean"
+        else:
+            t = "string"
+        out.append(Column(str(name), t))
+    return out
 
 
 @dataclass(frozen=True)

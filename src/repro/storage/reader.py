@@ -36,6 +36,11 @@ from repro.storage.layout import (
 
 __all__ = ["AcidReader", "spark_schema", "spark_type"]
 
+# what the reader uses of a delete_delta file: the target triple, the deleter
+_TOMBSTONE_SCHEMA = T.StructType(
+    [T.StructField(c, T.LongType()) for c in (*DELETE_COLS, WRITEID_COL)]
+)
+
 
 def spark_type(dtype: str) -> T.DataType:
     """Map a catalog type string onto a Spark SQL type.
@@ -149,17 +154,16 @@ class AcidReader:
         out_cols = columns or table.column_names()
         proj = list(out_cols) + ([] if not include_hidden else list(HIDDEN_COLS))
 
-        if not data_files:
-            schema = spark_schema(table, include_hidden=include_hidden)
-            empty = self.spark.createDataFrame([], schema)
-            return empty.select(*proj)
-
-        df = self.spark.read.parquet(*data_files).filter(self._visible(wids))
+        # named schemas: Spark runs no inference job, and no files read as
+        # an empty frame of the table's schema
+        schema = spark_schema(table, include_hidden=True)
+        df = self.spark.read.schema(schema).parquet(*data_files)
+        df = df.filter(self._visible(wids))
         if since is not None:
             df = df.filter(~self._visible(since))
 
         if delete_files:
-            tomb = self.spark.read.parquet(*delete_files)
+            tomb = self.spark.read.schema(_TOMBSTONE_SCHEMA).parquet(*delete_files)
             tomb = tomb.filter(self._visible(wids))  # skip aborted deleters
             tomb = tomb.select(
                 *[F.col(o).alias(h) for o, h in zip(DELETE_COLS, HIDDEN_COLS)]

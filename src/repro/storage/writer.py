@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pandas as pd
 
-from repro.metastore import HiveMetastore, collect_stats
+from repro.metastore import HiveMetastore, Table, collect_stats
 from repro.storage.layout import (
     DELETE_COLS,
     FILEID_COL,
@@ -39,6 +39,25 @@ from repro.storage.layout import (
 )
 
 __all__ = ["AcidWriter"]
+
+# the dtype each numeric catalog type is written with: every file then has
+# the Parquet types the reader's schema names (Spark refuses a file whose
+# type differs)
+_WRITE_DTYPES = {"int": "int32", "bigint": "int64", "float": "float32", "double": "float64"}
+
+
+def _as_declared(pdf: pd.DataFrame, table: Table) -> pd.DataFrame:
+    """``pdf`` with each numeric column of another dtype than its declared
+    type's cast to it (say, an ``int32`` column declared ``bigint``, or a
+    count merged into a float frame). An integer column with nulls gets
+    the nullable dtype."""
+    casts = {}
+    for c in table.columns:
+        want = _WRITE_DTYPES.get(c.dtype)
+        if want is not None and pdf[c.name].dtype != want:
+            nulls = want.startswith("int") and pdf[c.name].isna().any()
+            casts[c.name] = want.capitalize() if nulls else want
+    return pdf.astype(casts) if casts else pdf
 
 
 class AcidWriter:
@@ -95,7 +114,7 @@ class AcidWriter:
         if missing:
             raise ValueError(f"insert into {table_name} missing columns {sorted(missing)}")
         wid = self.hms.txns.allocate_write_id(txn_id, table_name)
-        pdf = pdf[table.column_names()].reset_index(drop=True)
+        pdf = _as_declared(pdf[table.column_names()].reset_index(drop=True), table)
         bloom_cols = bloom_columns(table)
 
         rows_before = 0

@@ -1,7 +1,9 @@
 """Shared fixtures for unit/integration tests.
 
 ``acid`` builds a fresh metastore + warehouse in ``tmp_path`` with a small
-partitioned test table, wired to the session SparkSession.
+partitioned test table, wired to the session SparkSession. ``Warehouse``
+(and the ``warehouse`` fixture) is a ``HiveServer2`` with pandas frames
+loaded as ACID tables, for tests that compile and run plans.
 """
 from dataclasses import dataclass
 from pathlib import Path
@@ -9,7 +11,9 @@ from pathlib import Path
 import pandas as pd
 import pytest
 
-from repro.metastore import Column, HiveMetastore, Table
+from repro.core.features import EngineConfig
+from repro.core.hs2 import HiveServer2, _HS2ExecutionContext
+from repro.metastore import Column, HiveMetastore, Table, infer_columns
 from repro.storage import AcidReader, AcidWriter, Compactor
 
 
@@ -70,3 +74,46 @@ def rows(k, v, p=None) -> pd.DataFrame:
     if p is not None:
         d["p"] = p
     return pd.DataFrame(d)
+
+
+class Warehouse:
+    """A ``HiveServer2`` in one arm, with pandas frames loaded as ACID tables.
+
+    ``arm`` names an ``EngineConfig`` constructor: ``"v3_1"`` (LLAP) or
+    ``"v3_1_container"``. Container start-up is 0 and the result cache is
+    off. ``frames`` keeps every loaded frame for the DuckDB oracle.
+    """
+
+    def __init__(self, spark, root: Path, arm: str = "v3_1", **frames: pd.DataFrame):
+        config = getattr(EngineConfig, arm)(container_startup_s=0.0, result_cache=False)
+        self.hs2 = HiveServer2(spark, str(root / "wh"), config)
+        self.frames: dict[str, pd.DataFrame] = {}
+        for name, pdf in frames.items():
+            self.load(name, pdf)
+
+    @property
+    def hms(self) -> HiveMetastore:
+        return self.hs2.hms
+
+    def load(self, name: str, pdf: pd.DataFrame, partitioned_by=()) -> None:
+        """CREATE TABLE with the frame's columns, then INSERT its rows."""
+        self.hs2.create_table(Table(name, infer_columns(pdf), list(partitioned_by)))
+        self.hs2.insert(name, pdf)
+        self.frames[name] = pdf
+
+    def context(self) -> _HS2ExecutionContext:
+        """The execution context of a statement starting now."""
+        return _HS2ExecutionContext(self.hs2, self.hs2.hms.txns.snapshot())
+
+    def __enter__(self) -> "Warehouse":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.hs2.close()
+
+
+@pytest.fixture
+def warehouse(spark, tmp_path):
+    """An empty LLAP-arm ``Warehouse``, closed after the test."""
+    with Warehouse(spark, tmp_path) as w:
+        yield w

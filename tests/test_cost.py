@@ -2,23 +2,19 @@
 import pandas as pd
 import pytest
 
-from repro.core.context import register_pandas_table
 from repro.core.cost import CostModel
 from repro.core.expr import AggCall, And, col
 from repro.core.plan import Aggregate, Filter, Join, Limit, Scan, Union
-from repro.metastore import HiveMetastore
 
 
 @pytest.fixture
-def model():
-    hms = HiveMetastore()
-    register_pandas_table(
-        hms, "fact", pd.DataFrame({"k": list(range(100)) * 10, "v": range(1000)})
+def model(warehouse):
+    """Stats come from the writer, as after INSERTs on a real server."""
+    warehouse.load("fact", pd.DataFrame({"k": list(range(100)) * 10, "v": range(1000)}))
+    warehouse.load(
+        "dim", pd.DataFrame({"k2": range(100), "attr": [f"a{i % 5}" for i in range(100)]})
     )
-    register_pandas_table(
-        hms, "dim", pd.DataFrame({"k2": range(100), "attr": [f"a{i % 5}" for i in range(100)]})
-    )
-    return CostModel(hms)
+    return CostModel(warehouse.hms)
 
 
 class TestScans:

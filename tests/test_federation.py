@@ -6,20 +6,13 @@ import pandas as pd
 import pytest
 
 from repro.core.compile import compile_plan
-from repro.core.context import infer_columns
 from repro.core.expr import AggCall, And, Col, Func, InList, col
-from repro.core.features import EngineConfig
-from repro.core.hs2 import HiveServer2, _HS2ExecutionContext
 from repro.core.plan import Aggregate, Filter, ForeignQuery, Limit, Scan, Sort
 from repro.druid import TIME_COL, DruidCluster, DruidDatasource, MetricSpec
 from repro.federation import DruidStorageHandler, push_to_druid, translate_to_druid_query
 from repro.metastore import Table
 from repro.oracle import assert_equivalent
-
-
-def statement_context(hs2):
-    """The execution context of a statement starting now."""
-    return _HS2ExecutionContext(hs2, hs2.hms.txns.snapshot())
+from tests.conftest import Warehouse
 
 
 def raw_events(n=2000, seed=9):
@@ -35,28 +28,21 @@ def raw_events(n=2000, seed=9):
 
 
 @pytest.fixture
-def fed(spark, tmp_path):
-    """A HiveServer2 with a registered Druid storage handler."""
+def fed(warehouse):
+    """A warehouse whose server has a registered Druid storage handler."""
     handler = DruidStorageHandler(DruidCluster())
-    config = EngineConfig.v3_1(container_startup_s=0.0)
-    with HiveServer2(spark, str(tmp_path / "wh"), config) as hs2:
-        hs2.register_handler(handler)
-        # a datasource already living in Druid
-        handler.cluster.add(
-            DruidDatasource.ingest(
-                "my_druid_source",
-                raw_events(),
-                time_column=TIME_COL,
-                dimensions=["d1"],
-                metrics=[MetricSpec("doubleSum", "m1", "m1")],
-            )
+    warehouse.hs2.register_handler(handler)
+    # a datasource already living in Druid
+    handler.cluster.add(
+        DruidDatasource.ingest(
+            "my_druid_source",
+            raw_events(),
+            time_column=TIME_COL,
+            dimensions=["d1"],
+            metrics=[MetricSpec("doubleSum", "m1", "m1")],
         )
-        yield hs2, handler
-
-
-def add_native(hs2, name, pdf):
-    hs2.create_table(Table(name, infer_columns(pdf)))
-    hs2.insert(name, pdf)
+    )
+    return warehouse, handler
 
 
 def register_external(hs2):
@@ -75,20 +61,20 @@ def register_external(hs2):
 
 class TestHandlers:
     def test_schema_inferred_from_druid_metadata(self, fed):
-        hs2, _ = fed
-        t = register_external(hs2)
+        w, _ = fed
+        t = register_external(w.hs2)
         names = t.column_names()
         assert TIME_COL in names and "d1" in names and "m1" in names
         assert dict((c.name, c.dtype) for c in t.columns)["m1"] == "double"
 
     def test_scan_reads_through_input_format(self, fed):
-        hs2, handler = fed
-        register_external(hs2)
-        df = statement_context(hs2).resolve_scan(Scan("druid_table_1"))
+        w, handler = fed
+        register_external(w.hs2)
+        df = w.context().resolve_scan(Scan("druid_table_1"))
         assert df.count() == handler.cluster.get("my_druid_source").n_rows
 
     def test_output_format_creates_datasource(self, fed):
-        hs2, handler = fed
+        w, handler = fed
         t = Table(
             name="druid_table_2",
             columns=[],
@@ -96,7 +82,7 @@ class TestHandlers:
             properties={"druid.dimensions": "d1"},
             is_acid=False,
         )
-        hs2.hms.create_table(t)
+        w.hms.create_table(t)
         handler.output_format(t, raw_events(100))
         assert "druid_table_2" in handler.cluster
         ds = handler.cluster.get("druid_table_2")
@@ -104,16 +90,16 @@ class TestHandlers:
         assert [m.name for m in ds.metrics] == ["m1"]
 
     def test_ingestion_requires_time_column(self, fed):
-        hs2, handler = fed
+        w, handler = fed
         t = Table("bad", [], storage_handler="druid", is_acid=False)
-        hs2.hms.create_table(t)
+        w.hms.create_table(t)
         with pytest.raises(ValueError, match="__time"):
             handler.output_format(t, pd.DataFrame({"x": [1]}))
 
     def test_native_tables_still_delegate(self, fed):
-        hs2, _ = fed
-        add_native(hs2, "native_t", pd.DataFrame({"a": [1, 2, 3]}))
-        assert statement_context(hs2).resolve_scan(Scan("native_t")).count() == 3
+        w, _ = fed
+        w.load("native_t", pd.DataFrame({"a": [1, 2, 3]}))
+        assert w.context().resolve_scan(Scan("native_t")).count() == 3
 
 
 def figure6_plan():
@@ -141,9 +127,9 @@ def figure6_plan():
 
 class TestPushdown:
     def test_figure6_json_shape(self, fed):
-        hs2, handler = fed
-        register_external(hs2)
-        q = translate_to_druid_query(figure6_plan(), hs2.hms, handler)
+        w, handler = fed
+        register_external(w.hs2)
+        q = translate_to_druid_query(figure6_plan(), w.hms, handler)
         assert q["queryType"] == "groupBy"
         assert q["dataSource"] == "my_druid_source"
         assert q["granularity"] == "all"
@@ -158,15 +144,15 @@ class TestPushdown:
         assert q["intervals"] == ["2017-01-01T00:00:00.000/2019-01-01T00:00:00.000"]
 
     def test_whole_plan_becomes_foreign_query(self, fed):
-        hs2, handler = fed
-        register_external(hs2)
-        out = push_to_druid(figure6_plan(), hs2.hms, handler)
+        w, handler = fed
+        register_external(w.hs2)
+        out = push_to_druid(figure6_plan(), w.hms, handler)
         assert isinstance(out, ForeignQuery)
         assert out.schema == ("d1", "s")
 
     def test_pushdown_result_matches_oracle(self, fed):
-        hs2, handler = fed
-        register_external(hs2)
+        w, handler = fed
+        register_external(w.hs2)
         plan = Aggregate(
             Filter(
                 Scan("druid_table_1"),
@@ -179,8 +165,8 @@ class TestPushdown:
             ("d1",),
             (AggCall("sum", col("m1"), "s"), AggCall("count_star", None, "c")),
         )
-        out = push_to_druid(plan, hs2.hms, handler)
-        df = compile_plan(out, statement_context(hs2))
+        out = push_to_druid(plan, w.hms, handler)
+        df = compile_plan(out, w.context())
         # oracle over the raw (pre-rollup) events
         raw = raw_events()
         assert_equivalent(
@@ -192,54 +178,54 @@ class TestPushdown:
         )
 
     def test_selector_and_bound_filters_translate(self, fed):
-        hs2, handler = fed
-        register_external(hs2)
+        w, handler = fed
+        register_external(w.hs2)
         plan = Filter(Scan("druid_table_1"), col("d1").eq("x"))
-        q = translate_to_druid_query(plan, hs2.hms, handler)
+        q = translate_to_druid_query(plan, w.hms, handler)
         assert q["queryType"] == "scan"
         assert q["filter"] == {"type": "selector", "dimension": "d1", "value": "x"}
 
     def test_metric_filter_not_pushed_below_scan(self, fed):
         """A filter on a metric cannot fold; the scan alone is pushed and
         the filter stays in the Hive plan."""
-        hs2, handler = fed
-        register_external(hs2)
+        w, handler = fed
+        register_external(w.hs2)
         plan = Filter(Scan("druid_table_1"), col("m1").gt(0.5))
-        out = push_to_druid(plan, hs2.hms, handler)
+        out = push_to_druid(plan, w.hms, handler)
         assert isinstance(out, Filter)
         assert isinstance(out.child, ForeignQuery)
         assert json.loads(out.child.query_repr)["queryType"] == "scan"
 
     def test_avg_not_pushed(self, fed):
-        hs2, handler = fed
-        register_external(hs2)
+        w, handler = fed
+        register_external(w.hs2)
         plan = Aggregate(
             Scan("druid_table_1"), ("d1",), (AggCall("avg", col("m1"), "a"),)
         )
-        out = push_to_druid(plan, hs2.hms, handler)
+        out = push_to_druid(plan, w.hms, handler)
         assert isinstance(out, Aggregate)  # agg stays; scan pushed below
         assert isinstance(out.child, ForeignQuery)
 
     def test_non_druid_table_untouched(self, fed):
-        hs2, _ = fed
-        add_native(hs2, "plain", pd.DataFrame({"a": [1]}))
+        w, _ = fed
+        w.load("plain", pd.DataFrame({"a": [1]}))
         plan = Filter(Scan("plain"), col("a").eq(1))
-        out = push_to_druid(plan, hs2.hms, hs2.handlers["druid"])
+        out = push_to_druid(plan, w.hms, w.hs2.handlers["druid"])
         assert out == plan
 
     def test_empty_pushdown_result_is_typed(self, fed):
         """An empty Druid answer gets table types, and double for an
         aggregate alias that is not a table column."""
-        hs2, handler = fed
-        register_external(hs2)
+        w, handler = fed
+        register_external(w.hs2)
         plan = Aggregate(
             Filter(Scan("druid_table_1"), col("d1").eq("none")),
             ("d1",),
             (AggCall("sum", col("m1"), "s"),),
         )
-        out = push_to_druid(plan, hs2.hms, handler)
+        out = push_to_druid(plan, w.hms, handler)
         assert isinstance(out, ForeignQuery)
-        df = compile_plan(out, statement_context(hs2))
+        df = compile_plan(out, w.context())
         assert df.count() == 0
         assert [(f.name, f.dataType.simpleString()) for f in df.schema] == [
             ("d1", "string"),
@@ -248,11 +234,33 @@ class TestPushdown:
 
     def test_count_star_counts_raw_rows_after_rollup(self, fed):
         """Roll-up collapses rows; pushed COUNT(*) must still count raw."""
-        hs2, handler = fed
-        register_external(hs2)
+        w, handler = fed
+        register_external(w.hs2)
         plan = Aggregate(
             Scan("druid_table_1"), (), (AggCall("count_star", None, "c"),)
         )
-        out = push_to_druid(plan, hs2.hms, handler)
-        df = compile_plan(out, statement_context(hs2))
+        out = push_to_druid(plan, w.hms, handler)
+        df = compile_plan(out, w.context())
         assert df.collect()[0]["c"] == 2000
+
+
+class TestDruidBackedView:
+    @pytest.mark.parametrize("arm", ["v3_1", "v3_1_container"])
+    def test_empty_view_scans_empty_and_typed(self, spark, tmp_path, arm):
+        """A Druid-backed view whose definition matches no rows: Druid's
+        answer has no columns, and the scan still returns the view's."""
+        with Warehouse(spark, tmp_path, arm, events=raw_events(100)) as w:
+            w.hs2.register_handler(DruidStorageHandler(DruidCluster()))
+            definition = Aggregate(
+                Filter(Scan("events"), col("d1").eq("none")),
+                (TIME_COL, "d1"),
+                (AggCall("sum", col("m1"), "m1"),),
+            )
+            w.hs2.create_materialized_view("empty_view", definition, store_in="druid")
+            r = w.hs2.execute(Scan("empty_view"))
+            assert r.result.empty
+            assert {c: str(t) for c, t in r.result.dtypes.items()} == {
+                TIME_COL: "datetime64[ns]",
+                "d1": "object",
+                "m1": "float64",
+            }

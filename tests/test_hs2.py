@@ -298,6 +298,31 @@ class TestMaterializedViews:
         hs2.create_materialized_view("mv_cat", mv_def())
         assert hs2.rebuild_materialized_view("mv_cat") == "noop"
 
+    def test_incremental_global_aggregate_keeps_column_types(self, v31_server):
+        """Merging a global aggregate's states goes through a float frame;
+        the view's files still hold its declared types, which the
+        container arm's reader names."""
+        hs2 = v31_server
+        definition = Aggregate(
+            Scan("sales"),
+            (),
+            (
+                AggCall("sum", col("price"), "total"),
+                AggCall("count_star", None, "n"),
+                AggCall("max", col("item_sk"), "top"),
+            ),
+        )
+        hs2.create_materialized_view("mv_all", definition)
+        hs2.insert("sales", pd.DataFrame({"item_sk": [99], "price": [5.0], "month": [1]}))
+        assert hs2.rebuild_materialized_view("mv_all") == "incremental"
+        r = hs2.execute(Scan("mv_all"))
+        assert r.result.dtypes.astype(str).to_dict() == {
+            "total": "float64",
+            "n": "int64",
+            "top": "int64",
+        }
+        check_oracle(hs2, r.result, definition)
+
 
 class TestReoptimization:
     def test_injected_failure_triggers_reopt(self, spark, tmp_path):

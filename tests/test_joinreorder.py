@@ -4,22 +4,20 @@ import pandas as pd
 import pytest
 
 from repro.core.compile import compile_plan
-from repro.core.context import PandasContext
 from repro.core.cost import CostModel
 from repro.core.expr import And, col
 from repro.core.joinreorder import DP_MAX_RELATIONS, flatten_join_tree, reorder_joins
 from repro.core.optimizer import OptimizerContext
 from repro.core.plan import Filter, Join, Plan, Scan
-from repro.metastore import HiveMetastore
 from repro.oracle import assert_equivalent
 
 
 @pytest.fixture
-def env(spark):
+def env(warehouse):
     g = np.random.default_rng(7)
-    pc = PandasContext(spark, HiveMetastore())
+    pc = warehouse
     # star schema: big fact, two dims of very different selectivity
-    pc.add(
+    pc.load(
         "fact",
         pd.DataFrame(
             {
@@ -29,8 +27,8 @@ def env(spark):
             }
         ),
     )
-    pc.add("dim1", pd.DataFrame({"d1": range(50), "x1": [f"v{i % 4}" for i in range(50)]}))
-    pc.add("dim2", pd.DataFrame({"d2": range(20), "x2": [f"w{i % 3}" for i in range(20)]}))
+    pc.load("dim1", pd.DataFrame({"d1": range(50), "x1": [f"v{i % 4}" for i in range(50)]}))
+    pc.load("dim2", pd.DataFrame({"d2": range(20), "x2": [f"w{i % 3}" for i in range(20)]}))
     ctx = OptimizerContext(pc.hms, CostModel(pc.hms))
     return pc, ctx
 
@@ -66,14 +64,8 @@ class TestReorder:
         pc, ctx = env
         p = star_plan()
         out = reorder_joins(p, ctx)
-        df = compile_plan(out, pc)
-        assert_equivalent(
-            df,
-            p.to_sql(),
-            fact=pc.tables["fact"],
-            dim1=pc.tables["dim1"],
-            dim2=pc.tables["dim2"],
-        )
+        df = compile_plan(out, pc.context())
+        assert_equivalent(df, p.to_sql(), **pc.frames)
 
     def test_filters_pushed_to_relations(self, env):
         _, ctx = env
@@ -104,21 +96,18 @@ class TestReorder:
         pc, ctx = env
         p = Join(Scan("fact"), Scan("dim1"), col("fk1").eq(col("d1")))
         out = reorder_joins(p, ctx)
-        df = compile_plan(out, pc)
-        assert_equivalent(
-            df, p.to_sql(), fact=pc.tables["fact"], dim1=pc.tables["dim1"]
-        )
+        df = compile_plan(out, pc.context())
+        assert_equivalent(df, p.to_sql(), **pc.frames)
 
     def test_greedy_path_above_dp_limit(self, env):
         """More relations than the DP budget → greedy still correct."""
         pc, ctx = env
         n = DP_MAX_RELATIONS + 1
         for i in range(n):
-            pc.add(f"c{i}", pd.DataFrame({f"k{i}": range(10), f"v{i}": range(10)}))
+            pc.load(f"c{i}", pd.DataFrame({f"k{i}": range(10), f"v{i}": range(10)}))
         plan: Plan = Scan("c0")
         for i in range(1, n):
             plan = Join(plan, Scan(f"c{i}"), col(f"k{i-1}").eq(col(f"k{i}")))
         out = reorder_joins(plan, ctx)
-        df = compile_plan(out, pc)
-        tables = {f"c{i}": pc.tables[f"c{i}"] for i in range(n)}
-        assert_equivalent(df, plan.to_sql(), **tables)
+        df = compile_plan(out, pc.context())
+        assert_equivalent(df, plan.to_sql(), **pc.frames)

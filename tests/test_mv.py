@@ -4,7 +4,6 @@ import pandas as pd
 import pytest
 
 from repro.core.compile import compile_plan
-from repro.core.context import PandasContext, register_pandas_table
 from repro.core.cost import CostModel
 from repro.core.expr import AggCall, And, Col, InList, col
 from repro.core.mv import (
@@ -17,7 +16,6 @@ from repro.core.mv import (
 )
 from repro.core.optimizer import Optimizer, OptimizerContext
 from repro.core.plan import Aggregate, Filter, Join, Scan, Union
-from repro.metastore import HiveMetastore, MaterializedView
 from repro.oracle import assert_equivalent
 
 
@@ -88,12 +86,11 @@ class TestRegion:
 # ---------------------------------------------------------------------------
 
 
-def make_star(spark):
+def make_star(pc):
     g = np.random.default_rng(3)
-    pc = PandasContext(spark, HiveMetastore())
     n = 3000
     n_days = 3 * 365  # 2016, 2017, 2018 — the years Figure 4 exercises
-    pc.add(
+    pc.load(
         "store_sales",
         pd.DataFrame(
             {
@@ -102,7 +99,7 @@ def make_star(spark):
             }
         ),
     )
-    pc.add(
+    pc.load(
         "date_dim",
         pd.DataFrame(
             {
@@ -115,8 +112,8 @@ def make_star(spark):
     return pc
 
 
-def view_def(year_cut=2017):
-    """CREATE MATERIALIZED VIEW ... WHERE d_year > <cut> GROUP BY d_year, d_moy."""
+def view_def():
+    """CREATE MATERIALIZED VIEW ... WHERE d_year > 2017 GROUP BY d_year, d_moy."""
     return Aggregate(
         Filter(
             Join(
@@ -124,7 +121,7 @@ def view_def(year_cut=2017):
                 Scan("date_dim"),
                 col("ss_sold_date_sk").eq(col("d_date_sk")),
             ),
-            col("d_year").gt(year_cut),
+            col("d_year").gt(2017),
         ),
         ("d_year", "d_moy"),
         (
@@ -140,28 +137,10 @@ def wids_now(hms):
     return lambda t: hms.txns.valid_write_ids(snap, t)
 
 
-def register_mv(pc, name="mat_view", year_cut=2017):
-    """Materialize the view's contents and register it in HMS."""
-    df = compile_plan(view_def(year_cut), pc)
-    contents = df.toPandas()
-    register_pandas_table(pc.hms, name, contents)
-    pc.tables[name] = contents
-    view = MaterializedView(
-        name=name,
-        definition=view_def(year_cut),
-        source_tables=["store_sales", "date_dim"],
-        snapshot=pc.hms.txns.write_id_lists(
-            pc.hms.txns.snapshot(), ["store_sales", "date_dim"]
-        ),
-    )
-    pc.hms.register_view(view)
-    return view
-
-
 @pytest.fixture
-def star(spark):
-    pc = make_star(spark)
-    view = register_mv(pc)
+def star(warehouse):
+    pc = make_star(warehouse)
+    view = pc.hs2.create_materialized_view("mat_view", view_def())
     ctx = OptimizerContext(pc.hms, CostModel(pc.hms))
     return pc, view, ctx
 
@@ -200,14 +179,8 @@ def partial_query():
 
 def check(pc, original, rewritten, ctx):
     optimized = Optimizer(ctx).optimize(rewritten)
-    df = compile_plan(optimized, pc)
-    assert_equivalent(
-        df,
-        original.to_sql(),
-        store_sales=pc.tables["store_sales"],
-        date_dim=pc.tables["date_dim"],
-        mat_view=pc.tables["mat_view"],
-    )
+    df = compile_plan(optimized, pc.context())
+    assert_equivalent(df, original.to_sql(), **pc.frames)
 
 
 class TestNormalize:

@@ -2,7 +2,7 @@
 import pandas as pd
 import pytest
 
-from repro.core.context import PandasContext
+from repro.core.compile import compile_plan
 from repro.core.expr import AggCall, col, lit
 from repro.core.plan import (
     Aggregate,
@@ -17,16 +17,14 @@ from repro.core.plan import (
     Union,
     output_columns,
 )
-from repro.metastore import HiveMetastore
 from repro.oracle import assert_equivalent
 
 
 @pytest.fixture
-def ctx(spark):
-    c = PandasContext(spark, HiveMetastore())
-    c.add("r", pd.DataFrame({"a": [1, 2, 3, 4], "b": [10.0, 20.0, 30.0, 40.0]}))
-    c.add("s", pd.DataFrame({"a2": [2, 3, 5], "c": ["x", "y", "z"]}))
-    return c
+def ctx(warehouse):
+    warehouse.load("r", pd.DataFrame({"a": [1, 2, 3, 4], "b": [10.0, 20.0, 30.0, 40.0]}))
+    warehouse.load("s", pd.DataFrame({"a2": [2, 3, 5], "c": ["x", "y", "z"]}))
+    return warehouse
 
 
 class TestStructure:
@@ -90,10 +88,8 @@ class TestSqlAndCompile:
     """Every operator type: compiled Spark result == DuckDB on to_sql()."""
 
     def _check(self, ctx, plan):
-        from repro.core.compile import compile_plan
-
-        df = compile_plan(plan, ctx)
-        assert_equivalent(df, plan.to_sql(), r=ctx.tables["r"], s=ctx.tables["s"])
+        df = compile_plan(plan, ctx.context())
+        assert_equivalent(df, plan.to_sql(), **ctx.frames)
 
     def test_scan(self, ctx):
         self._check(ctx, Scan("r"))
@@ -115,9 +111,7 @@ class TestSqlAndCompile:
 
     def test_semi_join(self, ctx):
         plan = Join(Scan("r"), Scan("s"), col("a").eq(col("a2")), "left_semi")
-        from repro.core.compile import compile_plan
-
-        df = compile_plan(plan, ctx)
+        df = compile_plan(plan, ctx.context())
         assert sorted(r["a"] for r in df.collect()) == [2, 3]
 
     def test_aggregate(self, ctx):
@@ -136,9 +130,7 @@ class TestSqlAndCompile:
 
     def test_sort_limit_topn(self, ctx):
         plan = Limit(Sort(Scan("r"), (("b", False),)), 2)
-        from repro.core.compile import compile_plan
-
-        got = [r["a"] for r in compile_plan(plan, ctx).collect()]
+        got = [r["a"] for r in compile_plan(plan, ctx.context()).collect()]
         assert got == [4, 3]
 
     def test_union_all(self, ctx):

@@ -3,7 +3,6 @@ import pandas as pd
 import pytest
 
 from repro.core.compile import compile_plan
-from repro.core.context import PandasContext
 from repro.core.cost import CostModel
 from repro.core.expr import FALSE, TRUE, And, col, lit
 from repro.core.optimizer import Optimizer, OptimizerContext
@@ -21,23 +20,33 @@ from repro.core.rules import (
     simplify_predicates,
 )
 from repro.core.expr import AggCall
-from repro.metastore import HiveMetastore
 from repro.oracle import assert_equivalent
+
+R = pd.DataFrame({"a": [1, 2, 3, 4, 5], "b": [1.0, 2.0, 3.0, 4.0, 5.0]})
+S = pd.DataFrame({"a2": [2, 4, 6], "c": ["x", "y", "z"]})
+
+
+def load(w, partitioned_by=()):
+    w.load("r", R, partitioned_by)
+    w.load("s", S)
+    return w, OptimizerContext(w.hms, CostModel(w.hms))
 
 
 @pytest.fixture
-def env(spark):
-    pc = PandasContext(spark, HiveMetastore())
-    pc.add("r", pd.DataFrame({"a": [1, 2, 3, 4, 5], "b": [1.0, 2.0, 3.0, 4.0, 5.0]}))
-    pc.add("s", pd.DataFrame({"a2": [2, 4, 6], "c": ["x", "y", "z"]}))
-    ctx = OptimizerContext(pc.hms, CostModel(pc.hms))
-    return pc, ctx
+def env(warehouse):
+    return load(warehouse)
+
+
+@pytest.fixture
+def partitioned_env(warehouse):
+    """``env`` with ``r`` partitioned by ``a`` (partitions a=1..a=5)."""
+    return load(warehouse, ["a"])
 
 
 def check_equiv(pc, original, rewritten):
     """The rewritten plan must produce the oracle result of the original."""
-    df = compile_plan(rewritten, pc)
-    assert_equivalent(df, original.to_sql(), r=pc.tables["r"], s=pc.tables["s"])
+    df = compile_plan(rewritten, pc.context())
+    assert_equivalent(df, original.to_sql(), **pc.frames)
 
 
 class TestFolding:
@@ -168,29 +177,21 @@ class TestEliminate:
 
 
 class TestPhysicalRules:
-    def test_partition_pruning(self, env):
-        pc, ctx = env
-        pc.hms.get_table("r").partitioned_by.append("a")
-        for i in range(1, 6):
-            pc.hms.add_partition("r", f"a={i}")
+    def test_partition_pruning(self, partitioned_env):
+        pc, ctx = partitioned_env
         p = Filter(Scan("r"), col("a").isin(2, 3))
         out = prune_partitions(p, ctx)
         assert out.child.partitions == ("a=2", "a=3")
         check_equiv(pc, p, out)
 
-    def test_partition_pruning_range(self, env):
-        pc, ctx = env
-        pc.hms.get_table("r").partitioned_by.append("a")
-        for i in range(1, 6):
-            pc.hms.add_partition("r", f"a={i}")
+    def test_partition_pruning_range(self, partitioned_env):
+        pc, ctx = partitioned_env
         p = Filter(Scan("r"), col("a").ge(4))
         out = prune_partitions(p, ctx)
         assert out.child.partitions == ("a=4", "a=5")
 
-    def test_no_pruning_on_data_column(self, env):
-        pc, ctx = env
-        pc.hms.get_table("r").partitioned_by.append("a")
-        pc.hms.add_partition("r", "a=1")
+    def test_no_pruning_on_data_column(self, partitioned_env):
+        pc, ctx = partitioned_env
         p = Filter(Scan("r"), col("b").gt(1.0))
         assert prune_partitions(p, ctx) is p
 

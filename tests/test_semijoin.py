@@ -3,49 +3,67 @@ import numpy as np
 import pandas as pd
 import pytest
 
+import repro.core.semijoin as semijoin
 from repro.core.compile import compile_plan
-from repro.core.context import PandasContext
 from repro.core.cost import CostModel
-from repro.core.expr import And, col
+from repro.core.expr import And, Func, col, lit
 from repro.core.optimizer import OptimizerContext
 from repro.core.plan import Filter, Join, Scan
 from repro.core.semijoin import apply_reduction, find_opportunities
-from repro.metastore import HiveMetastore
 from repro.oracle import assert_equivalent
+from tests.conftest import Warehouse
+
+_g = np.random.default_rng(11)
+STORE_SALES = pd.DataFrame(
+    {
+        "ss_item_sk": _g.integers(0, 100, 1000),
+        "ss_price": _g.random(1000).round(3),
+    }
+)
+ITEM = pd.DataFrame(
+    {
+        "i_item_sk": range(100),
+        "i_category": [("Sports" if i % 10 == 0 else "Other") for i in range(100)],
+    }
+)
+
+
+def load(w, partitioned=False):
+    """``store_sales`` (partitioned by its join key if ``partitioned``) and
+    ``item`` in ``w``, with the optimizer context over its metastore."""
+    w.load("store_sales", STORE_SALES, partitioned_by=["ss_item_sk"] if partitioned else ())
+    w.load("item", ITEM)
+    return w, OptimizerContext(w.hms, CostModel(w.hms))
 
 
 @pytest.fixture
-def env(spark):
-    g = np.random.default_rng(11)
-    pc = PandasContext(spark, HiveMetastore())
-    pc.add(
-        "store_sales",
-        pd.DataFrame(
-            {
-                "ss_item_sk": g.integers(0, 100, 1000),
-                "ss_price": g.random(1000).round(3),
-            }
-        ),
-    )
-    pc.add(
-        "item",
-        pd.DataFrame(
-            {
-                "i_item_sk": range(100),
-                "i_category": [("Sports" if i % 10 == 0 else "Other") for i in range(100)],
-            }
-        ),
-    )
-    ctx = OptimizerContext(pc.hms, CostModel(pc.hms))
-    return pc, ctx
+def env(warehouse):
+    return load(warehouse)
 
 
-def star_query():
+@pytest.fixture(params=["v3_1", "v3_1_container"])
+def arm(request, spark, tmp_path):
+    """An empty server in either arm: LLAP evaluates the dimension side
+    daemon-side (``collect_values``), containers compile it."""
+    with Warehouse(spark, tmp_path, request.param) as w:
+        yield w
+
+
+def star_query(dim_filter=col("i_category").eq("Sports")):
     return Join(
         Scan("store_sales"),
-        Filter(Scan("item"), col("i_category").eq("Sports")),
+        Filter(Scan("item"), dim_filter),
         col("ss_item_sk").eq(col("i_item_sk")),
     )
+
+
+def reduce_and_check(pc, ctx, original):
+    """Reduce ``original`` in one statement's context, run it there, and
+    compare with DuckDB on the unreduced plan."""
+    query_ctx = pc.context()
+    plan, report = apply_reduction(original, ctx, query_ctx)
+    assert_equivalent(compile_plan(plan, query_ctx), original.to_sql(), **pc.frames)
+    return plan, report
 
 
 class TestDetection:
@@ -81,7 +99,7 @@ class TestDetection:
 class TestIndexSemijoin:
     def test_runtime_filter_built(self, env):
         pc, ctx = env
-        plan, report = apply_reduction(star_query(), ctx, pc)
+        plan, report = apply_reduction(star_query(), ctx, pc.context())
         assert len(report.runtime_filters) == 1
         rf = report.runtime_filters[0]
         assert rf.min_value == 0 and rf.max_value == 90
@@ -91,41 +109,58 @@ class TestIndexSemijoin:
 
     def test_scan_annotated_with_range(self, env):
         pc, ctx = env
-        plan, _ = apply_reduction(star_query(), ctx, pc)
+        plan, _ = apply_reduction(star_query(), ctx, pc.context())
         scans = [n for n in plan.walk() if isinstance(n, Scan) and n.table == "store_sales"]
         assert len(scans[0].pushed_filters) == 2  # >= min and <= max
 
-    def test_result_unchanged(self, env):
-        pc, ctx = env
-        original = star_query()
-        plan, _ = apply_reduction(original, ctx, pc)
-        df = compile_plan(plan, pc)
-        assert_equivalent(
-            df,
-            original.to_sql(),
-            store_sales=pc.tables["store_sales"],
-            item=pc.tables["item"],
-        )
+    def test_result_unchanged(self, arm):
+        reduce_and_check(*load(arm), star_query())
 
-    def test_empty_dim_side_yields_empty_filter(self, env):
-        pc, ctx = env
-        plan = Join(
-            Scan("store_sales"),
-            Filter(Scan("item"), col("i_category").eq("DoesNotExist")),
-            col("ss_item_sk").eq(col("i_item_sk")),
-        )
-        new_plan, report = apply_reduction(plan, ctx, pc)
+    def test_empty_dim_side_yields_empty_filter(self, arm):
+        pc, ctx = load(arm)
+        plan = star_query(col("i_category").eq("DoesNotExist"))
+        new_plan, report = reduce_and_check(pc, ctx, plan)
         assert report.runtime_filters[0].n_values == 0
 
 
+class TestDimensionSide:
+    """How the LLAP arm evaluates the dimension side."""
+
+    def test_unevaluable_filter_falls_back_to_engine(self, warehouse, monkeypatch):
+        """``current_date`` has no pandas form: the daemon-side path gives
+        up and the dimension side runs as an engine job."""
+        pc, ctx = load(warehouse)
+        jobs = []
+        monkeypatch.setattr(
+            semijoin, "compile_plan", lambda p, c: jobs.append(p) or compile_plan(p, c)
+        )
+        dim_filter = And(
+            col("i_category").eq("Sports"), Func("current_date", ()).ge(lit("2001-01-01"))
+        )
+        _, report = reduce_and_check(pc, ctx, star_query(dim_filter))
+        assert len(jobs) == 1
+        assert report.runtime_filters[0].n_values == 10
+
+    def test_daemon_error_propagates(self, warehouse, monkeypatch):
+        """A failed daemon read is an error, not a reason to re-run the
+        dimension side as an engine job."""
+        pc, ctx = load(warehouse)
+        calls = []
+
+        def failing_scan(table, *args, **kwargs):
+            calls.append(table)
+            raise OSError("lost the fragment")
+
+        monkeypatch.setattr(pc.hs2.daemon, "scan_table", failing_scan)
+        with pytest.raises(OSError, match="lost the fragment"):
+            apply_reduction(star_query(), ctx, pc.context())
+        assert calls == ["item"]
+
+
 class TestPartitionPruning:
-    def test_partitions_restricted(self, env):
-        pc, ctx = env
-        t = pc.hms.get_table("store_sales")
-        t.partitioned_by.append("ss_item_sk")
-        for v in sorted(pc.tables["store_sales"]["ss_item_sk"].unique()):
-            pc.hms.add_partition("store_sales", f"ss_item_sk={v}")
-        plan, report = apply_reduction(star_query(), ctx, pc)
+    def test_partitions_restricted(self, arm):
+        pc, ctx = load(arm, partitioned=True)
+        plan, report = reduce_and_check(pc, ctx, star_query())
         scan = [n for n in plan.walk() if isinstance(n, Scan) and n.table == "store_sales"][0]
         assert scan.partitions is not None
         assert report.partitions_after < report.partitions_before

@@ -5,15 +5,13 @@ import pandas as pd
 import pytest
 
 from repro.core.compile import compile_plan
-from repro.core.context import PandasContext
 from repro.core.expr import AggCall, And, col
-from repro.core.features import EngineConfig
-from repro.core.hs2 import HiveServer2, _HS2ExecutionContext
+from repro.core.hs2 import _HS2ExecutionContext
 from repro.core.plan import Aggregate, Filter, Join, Project, Scan, Union, Unpivot
 from repro.core.sharedwork import find_shared_subtrees, merge_union_aggregates
-from repro.metastore import Column, HiveMetastore, Table
 from repro.oracle import assert_equivalent
 from repro.workloads import tpcds_lite
+from tests.conftest import Warehouse
 
 
 def q88_shape(n_branches=4):
@@ -81,35 +79,35 @@ class TestDetection:
 
 class TestExecution:
     @pytest.fixture
-    def pc(self, spark):
-        pc = PandasContext(spark, HiveMetastore())
-        pc.add(
+    def pc(self, warehouse):
+        warehouse.load(
             "fact",
             pd.DataFrame(
                 {"v": [0.05, 0.2, 0.5, 0.9] * 25, "h": [0, 1, 2, 3] * 25}
             ),
         )
-        return pc
+        return warehouse
 
     def test_shared_execution_correct(self, pc):
         plan = q88_shape(4)
         shared = find_shared_subtrees(plan, min_size=2)
-        df = compile_plan(plan, pc, shared_fingerprints=shared)
-        assert_equivalent(df, plan.to_sql(), fact=pc.tables["fact"])
+        df = compile_plan(plan, pc.context(), shared_fingerprints=shared)
+        assert_equivalent(df, plan.to_sql(), **pc.frames)
 
     def test_shared_compiles_subtree_once(self, pc):
         plan = q88_shape(3)
         shared = find_shared_subtrees(plan, min_size=2)
         calls = []
-        orig = pc.resolve_scan
+        ctx = pc.context()
+        orig = ctx.resolve_scan
 
         def counting(scan):
             calls.append(scan.table)
             return orig(scan)
 
-        pc.resolve_scan = counting
+        ctx.resolve_scan = counting
         memo: dict = {}
-        compile_plan(plan, pc, shared_fingerprints=shared, _memo=memo)
+        compile_plan(plan, ctx, shared_fingerprints=shared, _memo=memo)
         # the shared filtered scan resolves its Scan exactly once
         assert calls.count("fact") == 1
         assert len(memo) >= 1
@@ -247,21 +245,15 @@ class TestMergeUnionAggregates:
         assert merge_union_aggregates(plan) == plan
 
 
-FACT_COLUMNS = [Column("v", "double"), Column("w", "double"), Column("h", "bigint")]
-
-
 @pytest.fixture(params=["v3_1", "v3_1_container"])
 def server(request, spark, tmp_path):
     """A server in either arm with ``fact`` (100 rows, ``w`` partly NULL),
     ``other`` (same schema) and the empty ``empty``."""
-    config = getattr(EngineConfig, request.param)(container_startup_s=0.0, result_cache=False)
-    with HiveServer2(spark, str(tmp_path / "wh"), config) as hs2:
-        for name in ("fact", "other", "empty"):
-            hs2.create_table(Table(name, list(FACT_COLUMNS)))
-        v = np.array([0.05, 0.2, 0.5, 0.9] * 25)
-        hs2.insert("fact", pd.DataFrame({"v": v, "w": np.where(v > 0.3, v, np.nan), "h": [0, 1, 2, 3] * 25}))
-        hs2.insert("other", pd.DataFrame({"v": [1.0, 2.0], "w": [1.0, 2.0], "h": [0, 1]}))
-        yield hs2
+    v = np.array([0.05, 0.2, 0.5, 0.9] * 25)
+    fact = pd.DataFrame({"v": v, "w": np.where(v > 0.3, v, np.nan), "h": [0, 1, 2, 3] * 25})
+    other = pd.DataFrame({"v": [1.0, 2.0], "w": [1.0, 2.0], "h": [0, 1]})
+    with Warehouse(spark, tmp_path, request.param, fact=fact, other=other, empty=fact[:0]) as w:
+        yield w.hs2
 
 
 def check(hs2, r, plan):
