@@ -3,24 +3,30 @@
 A :class:`HiveServer2` is long-lived and serves many queries, possibly at
 once. It owns what outlives a query: the metastore-backed ACID layer, the
 (optional) LLAP daemon, the query result cache, storage handlers, and the
-configuration. It drives every query through the paper's preparation
-pipeline:
+configuration. It drives every query through the paper's pipeline:
 
     feature gate → result-cache probe → MV rewriting → multi-stage
-    optimization → dynamic semijoin reduction → shared-work merge →
-    physical compilation (Spark/Catalyst) → execution → cache fill,
+    optimization → handler pushdown → dynamic semijoin reduction →
+    shared-work merge → physical compilation (Spark/Catalyst) →
+    execution → cache fill.
 
-with query reoptimization (§4.2) wrapped around the plan/run pair when a
-retryable execution error surfaces. Each statement takes one ``Snapshot``
-(§3.2), and its scans, result-cache probe and fill and MV freshness all
-use the WriteId lists derived from it. What one query sets up while it
-runs (that snapshot, runtime Bloom filters, the container allocation,
-persisted shared subtrees) lives in a per-query
+:meth:`_HS2ExecutionContext.prepare` is the one home of the preparation
+stages and ``HiveServer2._run`` the one loop that prepares and runs a
+plan; MV builds and rebuilds (§4.4) use it too, with MV rewriting off.
+Query reoptimization (§4.2) is reproduced as ``reoptimize`` only: a failed
+attempt's runtime row counts feed a second planning round. Re-running
+under a fixed configuration is not, because no operator here reads one
+(Spark picks the join algorithms).
+
+Each statement takes one ``Snapshot`` (§3.2), and its scans, result-cache
+probe and fill and MV freshness all use the WriteId lists derived from it.
+What one query sets up while it runs (that snapshot, runtime filters, the
+container allocation, persisted shared subtrees) lives in a per-query
 :class:`_HS2ExecutionContext`, never on the server, so concurrent queries
 cannot see each other's state. The ``EngineConfig`` switches let the same
 driver impersonate Hive v1.2, v3.1-on-containers, and v3.1+LLAP for the §7
-experiments. Call :meth:`HiveServer2.close` (or use the server as a context
-manager) to stop the LLAP daemon's executors.
+experiments. Call :meth:`HiveServer2.close` (or use the server as a
+context manager) to stop the LLAP daemon's executors.
 """
 from __future__ import annotations
 
@@ -33,7 +39,6 @@ from typing import Iterator
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.bloom import BloomFilter
 from repro.core.cache import QueryResultCache
 from repro.core.compile import compile_plan
 from repro.core.expr import Expr
@@ -41,8 +46,8 @@ from repro.core.features import EngineConfig
 from repro.core.mv import choose_rewrite, merge_aggregate_states, normalize_spja
 from repro.core.optimizer import Optimizer, OptimizerContext, default_stages, v12_stages
 from repro.core.plan import Filter, ForeignQuery, Plan, Scan, Unpivot
-from repro.core.reopt import ReoptimizingExecutor
-from repro.core.semijoin import ReductionReport, apply_reduction
+from repro.core.reopt import ExecutionError
+from repro.core.semijoin import ReductionReport, RuntimeFilter, apply_reduction
 from repro.core.sharedwork import (
     find_shared_subtrees,
     merge_equivalent_scans,
@@ -88,20 +93,20 @@ class ExecutionReport:
 
 
 class _HS2ExecutionContext:
-    """The execution state of one query on a long-lived server.
+    """The execution state of one attempt of one statement.
 
-    Built fresh for each ``execute()`` attempt and each internal
-    ``_run_plan()`` call, and dropped when it ends. It holds the
-    statement's ``snapshot`` (shared by its reoptimization attempts) and
-    the WriteId ``lists`` derived from it, each table's once, which every
-    scan reads through; for an incremental MV rebuild (§4.4), ``since``
-    maps the changed table to the view's stored list, whose rows the scans
-    skip. It also holds the query's runtime Bloom filters (registered by
-    the semijoin reducer), whether the query has paid container
-    allocation, and the shared-work subtrees it persisted (§4.5), which
-    :meth:`run` releases once the result is collected. Scans route to a
-    storage handler, the LLAP daemon, or the ACID snapshot reader
-    (container mode).
+    Built fresh for each attempt of ``HiveServer2._run`` and dropped when
+    it ends. It holds the statement's ``snapshot`` (shared by its
+    attempts) and the WriteId ``lists`` derived from it, each table's once,
+    which every scan reads through; for an incremental MV rebuild (§4.4),
+    ``since`` maps the changed table to the view's stored list, whose rows
+    the scans skip. It also holds what :meth:`prepare` decided (the MV
+    used, the semijoin report, the subtrees to compute once), the runtime
+    Bloom filters the semijoin reducer registered, whether the query has
+    paid container allocation, and the shared subtrees it persisted
+    (§4.5), which :meth:`run` releases once the result is collected. Scans
+    route to a storage handler, the LLAP daemon, or the ACID snapshot
+    reader (container mode).
     """
 
     def __init__(
@@ -115,11 +120,15 @@ class _HS2ExecutionContext:
         self.snapshot = snapshot
         self.lists = dict(lists or {})
         self.since = dict(since or {})
+        self.mv_used: str | None = None
+        self.semijoin: ReductionReport | None = None
+        # fingerprints of the subtrees computed once (shared work)
+        self.shared: set[str] = set()
         self._container_started = False
-        # per-scan runtime-filter sets (semijoin Blooms), id → {col: bloom}
-        self._bloom_registry: dict[int, dict[str, BloomFilter]] = {}
+        # per-scan runtime-filter sets (semijoin), id → {col: filter}
+        self._bloom_registry: dict[int, dict[str, RuntimeFilter]] = {}
         # persisted shared subtrees, fingerprint → DataFrame
-        self._shared: dict[str, DataFrame] = {}
+        self._persisted: dict[str, DataFrame] = {}
 
     def wids(self, table: str) -> ValidWriteIdList:
         """The statement's WriteId list for ``table``."""
@@ -128,20 +137,49 @@ class _HS2ExecutionContext:
         return self.lists[table]
 
     # called by the semijoin reducer; the returned id goes on the Scan node
-    def register_runtime_blooms(self, blooms: dict[str, object]) -> int:
+    def register_runtime_blooms(self, blooms: dict[str, RuntimeFilter]) -> int:
         rid = len(self._bloom_registry) + 1
         self._bloom_registry[rid] = dict(blooms)
         return rid
 
-    def run(self, plan: Plan, shared: set[str] | None = None) -> pd.DataFrame:
-        """Compile and execute ``plan``, computing the subtrees whose
-        fingerprints are in ``shared`` once; unpersist them afterwards."""
+    def prepare(self, plan: Plan, overrides: dict[str, float], rewrite: bool = True) -> Plan:
+        """Figure 2's preparation of ``plan``: MV rewriting (unless
+        ``rewrite`` is off), multi-stage optimization with ``overrides``
+        (observed row counts by fingerprint) over the estimates, handler
+        pushdown (§6.2), semijoin reduction and the shared-work merge."""
+        from repro.federation.handler import DruidStorageHandler
+        from repro.federation.pushdown import push_to_druid
+
+        s = self.server
+        legacy = s.config.legacy
+        octx = OptimizerContext.for_metastore(s.hms, overrides)
+        if rewrite and not legacy:
+            plan, self.mv_used = choose_rewrite(plan, s.hms, octx.cost, self.wids, now=time.time())
+        plan = Optimizer(octx, v12_stages() if legacy else default_stages()).optimize(plan)
+        for handler in s.handlers.values():
+            if isinstance(handler, DruidStorageHandler):
+                plan = push_to_druid(plan, s.hms, handler)
+        if not legacy:
+            plan, self.semijoin = apply_reduction(plan, octx, self)
+        if s.config.shared_work:
+            # shared work (§4.5): merge same-table scans to a common
+            # denominator, turn unions of global aggregates over one input
+            # into one pass, then compute the maximal repeated subtrees
+            # left once (min_size=1 — merging "starts from scan operations
+            # over the same tables")
+            plan = merge_union_aggregates(merge_equivalent_scans(plan))
+            self.shared = find_shared_subtrees(plan, min_size=1)
+        return plan
+
+    def run(self, plan: Plan) -> pd.DataFrame:
+        """Compile and execute ``plan``, computing the subtrees in
+        :attr:`shared` once; unpersist them afterwards."""
         try:
-            return compile_plan(plan, self, shared, self._shared).toPandas()
+            return compile_plan(plan, self, self.shared, self._persisted).toPandas()
         finally:
-            for df in self._shared.values():
+            for df in self._persisted.values():
                 df.unpersist(blocking=True)
-            self._shared.clear()
+            self._persisted.clear()
 
     def collect_values(self, plan, column: str) -> list | None:
         """Semijoin fast path: evaluate a small Scan/Filter-chain dimension
@@ -363,14 +401,13 @@ class HiveServer2:
         snapshot = self.hms.txns.snapshot()
         sources = sorted(definition.tables())
         current = self.hms.txns.write_id_lists(snapshot, sources)
-        contents = self._run_plan(definition, snapshot, current)
+        contents = self._run(definition, snapshot, current, rewrite=False).result
         if store_in == "native":
-            self.create_table(Table(name, infer_columns(contents), is_acid=True))
-            self.insert(name, contents)
+            table = Table(name, infer_columns(contents), is_acid=True)
         elif store_in == "druid":
             if TIME_COL not in contents.columns:
                 raise ValueError("a Druid-backed MV needs a __time column")
-            t = Table(
+            table = Table(
                 name,
                 infer_columns(contents),
                 storage_handler="druid",
@@ -382,10 +419,9 @@ class HiveServer2:
                     )
                 },
             )
-            self.create_table(t)
-            self.handlers["druid"].output_format(t, contents)
         else:
             raise ValueError(f"unknown MV store {store_in!r}")
+        self._write_view(self.create_table(table), contents)
         view = MaterializedView(
             name=name,
             definition=definition,
@@ -398,11 +434,14 @@ class HiveServer2:
         return view
 
     def rebuild_materialized_view(self, name: str) -> str:
-        """REBUILD: incremental when the view is SPJA and only INSERTs
-        changed a single source table — the delta is the rows this
-        statement's list sees and the view's stored list does not; full
-        rebuild otherwise. Returns 'incremental' | 'full' | 'noop'."""
+        """REBUILD: incremental when the view is SPJA, stored natively, and
+        only INSERTs changed a single source table — the delta is the rows
+        this statement's list sees and the view's stored list does not;
+        full rebuild otherwise (a handler such as Druid rolls rows up, so
+        its stored rows cannot be merged). Returns 'incremental' | 'full'
+        | 'noop'."""
         view = self.hms.get_view(name)
+        table = self.hms.get_table(name)
         snapshot = self.hms.txns.snapshot()
         current = self.hms.txns.write_id_lists(snapshot, view.source_tables)
         changed = [t for t in view.source_tables if current[t] != view.snapshot.get(t)]
@@ -413,17 +452,19 @@ class HiveServer2:
         t = changed[0]
         if (
             len(changed) == 1
+            and table.storage_handler not in self.handlers
             and not self.hms.txns.updated_or_deleted(t, view.snapshot[t], current[t])
             and norm is not None
             and norm.keys is not None
         ):
             mode = "incremental"
-            delta = self._run_plan(view.definition, snapshot, current, {t: view.snapshot[t]})
-            old = self._run_plan(Scan(name), snapshot)
+            since = {t: view.snapshot[t]}
+            delta = self._run(view.definition, snapshot, current, since, rewrite=False).result
+            old = self._run(Scan(name), snapshot, rewrite=False).result
             contents = merge_aggregate_states(old, delta, list(norm.keys), list(norm.aggs))
         else:
-            contents = self._run_plan(view.definition, snapshot, current)
-        self._overwrite_view(name, contents)
+            contents = self._run(view.definition, snapshot, current, rewrite=False).result
+        self._write_view(table, contents)
         view.snapshot = self._view_lists(name, current)
         view.properties["last.rebuild.time"] = str(time.time())
         return mode
@@ -434,36 +475,60 @@ class HiveServer2:
         now = self.hms.txns.snapshot()
         return {**sources, **self.hms.txns.write_id_lists(now, [name])}
 
-    def _overwrite_view(self, name: str, pdf: pd.DataFrame) -> None:
-        """INSERT OVERWRITE the view's (unpartitioned) table; older
-        snapshots read what it supersedes until the compactor cleans."""
-        self.hms.reset_stats(name)
-        cols = self.hms.get_table(name).column_names()
+    def _write_view(self, table: Table, contents: pd.DataFrame) -> None:
+        """Replace the view's contents: ingest them through its storage
+        handler, or INSERT OVERWRITE its (unpartitioned) ACID table, whose
+        older snapshots read what it supersedes until the compactor
+        cleans."""
+        if table.storage_handler in self.handlers:
+            self.handlers[table.storage_handler].output_format(table, contents)
+            return
+        self.hms.reset_stats(table.name)
         with self._transaction() as (txn, _):
-            wid = self.writer.overwrite(txn, name, pdf[cols])
-        self.compactor.supersede(self.writer.table_path(name) / base_dir(wid))
+            wid = self.writer.overwrite(txn, table.name, contents[table.column_names()])
+        self.compactor.supersede(self.writer.table_path(table.name) / base_dir(wid))
 
     # -- query execution ---------------------------------------------------
 
-    def _push_to_handlers(self, plan: Plan) -> Plan:
-        """Calcite-style computation pushdown to federated systems (§6.2)."""
-        from repro.federation.handler import DruidStorageHandler
-        from repro.federation.pushdown import push_to_druid
-
-        for handler in self.handlers.values():
-            if isinstance(handler, DruidStorageHandler):
-                plan = push_to_druid(plan, self.hms, handler)
-        return plan
-
-    def _run_plan(self, plan: Plan, snapshot: Snapshot, lists=None, since=None) -> pd.DataFrame:
-        """Internal execution at ``snapshot`` (``lists``: those derived from
-        it so far) without caching/rewriting (DDL paths); a table in
-        ``since`` yields only rows its list there lacks."""
-        ctx = OptimizerContext.for_metastore(self.hms)
-        stages = v12_stages() if self.config.legacy else default_stages()
-        optimized = Optimizer(ctx, stages).optimize(plan)
-        optimized = self._push_to_handlers(optimized)
-        return _HS2ExecutionContext(self, snapshot, lists, since).run(optimized)
+    def _run(
+        self,
+        plan: Plan,
+        snapshot: Snapshot,
+        lists: dict[str, ValidWriteIdList] | None = None,
+        since: dict[str, ValidWriteIdList] | None = None,
+        rewrite: bool = True,
+    ) -> ExecutionReport:
+        """Prepare and run ``plan`` at ``snapshot`` (``lists``: those derived
+        from it so far; a table in ``since`` yields only rows its list there
+        lacks). A retryable :class:`ExecutionError` makes a second attempt
+        (§4.2 reoptimize; v1.2 has none) in a fresh context whose planning
+        takes the failed attempt's runtime row counts over the estimates.
+        The report describes the attempt that succeeded."""
+        overrides: dict[str, float] = {}
+        attempts = 1 if self.config.legacy else 2
+        for attempt in range(1, attempts + 1):
+            ctx = _HS2ExecutionContext(self, snapshot, lists, since)
+            prepared = ctx.prepare(plan, overrides, rewrite)
+            try:
+                result = ctx.run(prepared)
+                if self.failure_injector is not None:
+                    self.failure_injector(prepared, result)
+                break
+            except ExecutionError as err:
+                if attempt == attempts:
+                    raise
+                overrides.update(err.runtime_stats)
+        # each union of global aggregates merged into one pass counts as
+        # one shared subtree
+        merged = sum(isinstance(n, Unpivot) for n in prepared.walk())
+        return ExecutionReport(
+            result=result,
+            mv_used=ctx.mv_used,
+            shared_subtrees=len(ctx.shared) + merged,
+            semijoin=ctx.semijoin,
+            attempts=attempt,
+            final_plan=prepared,
+        )
 
     def execute(self, query: QuerySpec | Plan) -> ExecutionReport:
         if isinstance(query, Plan):
@@ -485,55 +550,10 @@ class HiveServer2:
                 )
             computing = state == "compute" and self.result_cache.is_cacheable(query.plan)
 
-        report = ExecutionReport(result=pd.DataFrame())
         try:
-            executor = ReoptimizingExecutor(
-                strategy="off" if self.config.legacy else "reoptimize"
-            )
-            query_ctx = None  # the current attempt's context
-
-            def plan_fn(overrides: dict, run_config: dict) -> Plan:
-                nonlocal query_ctx
-                query_ctx = _HS2ExecutionContext(self, snapshot, lists)
-                ctx = OptimizerContext.for_metastore(self.hms, overrides)
-                plan = query.plan
-                if not self.config.legacy:
-                    plan, report.mv_used = choose_rewrite(
-                        plan, self.hms, ctx.cost, query_ctx.wids, now=time.time()
-                    )
-                stages = v12_stages() if self.config.legacy else default_stages()
-                plan = Optimizer(ctx, stages).optimize(plan)
-                plan = self._push_to_handlers(plan)
-                if not self.config.legacy:
-                    plan, report.semijoin = apply_reduction(plan, ctx, query_ctx)
-                return plan
-
-            def run_fn(plan: Plan, run_config: dict) -> pd.DataFrame:
-                # shared work (§4.5), applied just before execution:
-                # merge same-table scans to a common denominator, turn
-                # unions of global aggregates over one input into one
-                # pass, then compute the maximal repeated subtrees left
-                # once (min_size=1 — merging "starts from scan operations
-                # over the same tables"); each merged union counts as
-                # one shared subtree
-                if self.config.shared_work:
-                    plan = merge_union_aggregates(merge_equivalent_scans(plan))
-                    shared = find_shared_subtrees(plan, min_size=1)
-                else:
-                    shared = set()
-                merged = sum(isinstance(n, Unpivot) for n in plan.walk())
-                report.shared_subtrees = len(shared) + merged
-                report.final_plan = plan
-                result = query_ctx.run(plan, shared)
-                if self.failure_injector is not None:
-                    self.failure_injector(plan, result)
-                return result
-
-            r = executor.execute(plan_fn, run_fn)
-            report.result = r.result
-            report.attempts = r.attempts
+            report = self._run(query.plan, snapshot, lists)
             if computing:
-                self.result_cache.fill(query.plan, r.result, lists)
+                self.result_cache.fill(query.plan, report.result, lists)
         except Exception:
             if computing:
                 self.result_cache.fail(query.plan)

@@ -1,26 +1,18 @@
-"""Query reoptimization (§4.2).
+"""Query reoptimization (§4.2): the retryable execution error.
 
-Two independent strategies, both triggered by execution errors:
-
-* ``overlay`` — re-execute with a fixed configuration overlay (e.g. force
-  every join to the robust shuffle algorithm), independent of what failed;
-* ``reoptimize`` — re-plan using *runtime statistics* captured during the
-  failed execution: observed operator cardinalities override the HMS-based
-  estimates (via :attr:`repro.core.cost.CostModel.overrides`), so the
-  second planning round corrects join-algorithm/join-order mistakes caused
-  by bad estimates.
-
-The executor is engine-agnostic: callers supply ``plan_fn(overrides,
-config)`` → plan and ``run_fn(plan, config)`` → result. ``run_fn`` raises
-:class:`ExecutionError` (carrying whatever runtime stats were collected)
-to signal a retryable failure, mirroring Hive's error-classified retries.
+Hive re-plans a failed query with the runtime statistics its execution
+captured. This repository reproduces that ``reoptimize`` strategy in
+``HiveServer2._run``: when an attempt raises :class:`ExecutionError`, the
+error's observed row counts override the HMS-based estimates (via
+:attr:`repro.core.cost.CostModel.overrides`) when the query is prepared
+again, so the second round corrects join-order mistakes caused by bad
+estimates. Hive's other strategy, re-running under a fixed configuration
+(say, every join a shuffle join), is not reproduced: no operator here
+reads such a configuration, because Spark picks the join algorithms.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
-
-__all__ = ["ExecutionError", "ReoptResult", "ReoptimizingExecutor"]
+__all__ = ["ExecutionError"]
 
 
 class ExecutionError(RuntimeError):
@@ -33,53 +25,3 @@ class ExecutionError(RuntimeError):
     def __init__(self, message: str, runtime_stats: dict[str, float] | None = None):
         super().__init__(message)
         self.runtime_stats = runtime_stats or {}
-
-
-@dataclass
-class ReoptResult:
-    result: object
-    attempts: int
-    strategy_used: str | None  # None if the first run succeeded
-    runtime_stats: dict[str, float] = field(default_factory=dict)
-
-
-@dataclass
-class ReoptimizingExecutor:
-    strategy: str = "reoptimize"  # 'overlay' | 'reoptimize' | 'off'
-    overlay_config: dict = field(default_factory=lambda: {"join_strategy": "shuffle"})
-    max_executions: int = 2
-
-    def execute(
-        self,
-        plan_fn: Callable[[dict, dict], object],
-        run_fn: Callable[[object, dict], object],
-        base_config: dict | None = None,
-    ) -> ReoptResult:
-        config = dict(base_config or {})
-        overrides: dict[str, float] = {}
-        last_err: ExecutionError | None = None
-
-        for attempt in range(1, self.max_executions + 1):
-            plan = plan_fn(overrides, config)
-            try:
-                result = run_fn(plan, config)
-                return ReoptResult(
-                    result=result,
-                    attempts=attempt,
-                    strategy_used=None if attempt == 1 else self.strategy,
-                    runtime_stats=overrides,
-                )
-            except ExecutionError as err:
-                last_err = err
-                if self.strategy == "off" or attempt == self.max_executions:
-                    break
-                if self.strategy == "overlay":
-                    # fixed configuration overlay for all re-executions
-                    config.update(self.overlay_config)
-                elif self.strategy == "reoptimize":
-                    # feed captured runtime statistics back into planning
-                    overrides.update(err.runtime_stats)
-                else:
-                    raise ValueError(f"unknown strategy {self.strategy!r}")
-        assert last_err is not None
-        raise last_err

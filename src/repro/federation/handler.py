@@ -36,7 +36,6 @@ class StorageHandler:
     """Base interface; subclasses override what they support."""
 
     name: str = "abstract"
-    supports_pushdown: bool = False
 
     # (i) input format — read the full external table
     def input_format(self, table: Table) -> pd.DataFrame:
@@ -69,7 +68,6 @@ class DruidStorageHandler(StorageHandler):
     bindings: dict[str, str] = field(default_factory=dict)
 
     name = "druid"
-    supports_pushdown = True
 
     # -- metastore hook ----------------------------------------------------
 
@@ -90,9 +88,6 @@ class DruidStorageHandler(StorageHandler):
     def deserialize(self, pdf: pd.DataFrame) -> pd.DataFrame:
         if TIME_COL in pdf.columns:
             pdf = pdf.assign(**{TIME_COL: pd.to_datetime(pdf[TIME_COL])})
-        return pdf
-
-    def serialize(self, pdf: pd.DataFrame) -> pd.DataFrame:
         return pdf
 
     # -- input format ------------------------------------------------------

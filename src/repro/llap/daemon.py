@@ -23,16 +23,19 @@ from __future__ import annotations
 
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import pandas as pd
 
-from repro.bloom import BloomFilter
 from repro.core.expr import Expr
 from repro.llap.cache import LlapCache
 from repro.llap.elevator import IOElevator
 from repro.metastore import HiveMetastore, ValidWriteIdList
 from repro.storage import AcidReader
 from repro.storage.layout import HIDDEN_COLS, visible_rows
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.semijoin import RuntimeFilter
 
 __all__ = ["LlapDaemon"]
 
@@ -70,7 +73,7 @@ class LlapDaemon:
         partitions: list[str] | None = None,
         columns: list[str] | None = None,
         pushed_filters: list[Expr] | None = None,
-        runtime_blooms: dict[str, BloomFilter] | None = None,
+        runtime_blooms: dict[str, RuntimeFilter] | None = None,
         since: ValidWriteIdList | None = None,
     ) -> pd.DataFrame:
         """Snapshot-consistent scan through cache + elevator → pandas batch.

@@ -22,13 +22,16 @@ import datetime as _dt
 import threading
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import pandas as pd
 
-from repro.bloom import BloomFilter
 from repro.core.expr import BinOp, Col, Expr, InList, Lit
 from repro.llap.cache import ChunkKey, LlapCache
 from repro.storage.layout import RowGroupMeta
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.semijoin import RuntimeFilter
 
 __all__ = ["IOElevator", "ElevatorStats"]
 
@@ -113,7 +116,7 @@ class IOElevator:
         file: str | Path,
         columns: list[str],
         pushed_filters: list[Expr] | None = None,
-        runtime_blooms: dict[str, BloomFilter] | None = None,
+        runtime_blooms: dict[str, RuntimeFilter] | None = None,
     ) -> pd.DataFrame | None:
         """Read one data file through metadata pushdown + the chunk cache.
 
@@ -161,21 +164,16 @@ class IOElevator:
                 self.stats.add(stats)
 
     def _apply_runtime_blooms(
-        self, pdf: pd.DataFrame, blooms: dict[str, object] | None, stats: ElevatorStats
+        self, pdf: pd.DataFrame, blooms: dict[str, RuntimeFilter] | None, stats: ElevatorStats
     ) -> pd.DataFrame:
-        """Row-level semijoin filters: either a plain :class:`BloomFilter`
-        (per-row probes, what real Hive ships) or a
-        :class:`~repro.core.semijoin.RuntimeFilter` exposing ``apply`` with
-        a vectorized exact-membership test."""
+        """Row-level semijoin filters: each tests exact membership, or
+        probes its Bloom filter row by row when it carries no value set."""
         if not blooms or pdf is None or pdf.empty:
             return pdf
         for colname, flt in blooms.items():
             if colname not in pdf.columns:
                 continue
-            if hasattr(flt, "apply"):
-                mask = flt.apply(pdf[colname])
-            else:
-                mask = pdf[colname].map(flt.might_contain)
+            mask = flt.apply(pdf[colname])
             stats.rows_filtered_by_runtime_bloom += int((~mask).sum())
             pdf = pdf[mask]
         return pdf.reset_index(drop=True)

@@ -111,11 +111,13 @@ class Compactor:
         obsolete every other directory of ``kinds`` that ``out``'s WriteId
         range covers."""
         if rows is not None:
+            t = self.hms.get_table(table)
             write_data_file(
                 out / bucket_file(0),
                 visible_rows(rows, tombs, wids),
                 self.row_group_rows,
-                bloom_columns(self.hms.get_table(table)),
+                bloom_columns(t),
+                t,
             )
         self.supersede(out, kinds)
 

@@ -39,10 +39,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import pandas as pd
+import pyarrow as pa
 import pyarrow.parquet as pq
 
 from repro.bloom import BloomFilter
-from repro.metastore import ValidWriteIdList
+from repro.metastore import Table, ValidWriteIdList
 
 __all__ = [
     "WRITEID_COL",
@@ -207,11 +208,26 @@ def _sidecar(data_file: Path) -> Path:
     return data_file.with_suffix(".meta.json")
 
 
+# the Arrow type each catalog type is stored as (what the reader's Spark
+# schema names)
+_ARROW_TYPES = {
+    "int": pa.int32(),
+    "bigint": pa.int64(),
+    "float": pa.float32(),
+    "double": pa.float64(),
+    "string": pa.string(),
+    "date": pa.date32(),
+    "timestamp": pa.timestamp("ns"),
+    "boolean": pa.bool_(),
+}
+
+
 def write_data_file(
     data_file: Path,
     pdf: pd.DataFrame,
     row_group_rows: int = 10_000,
     bloom_cols: tuple[str, ...] = (),
+    table: Table | None = None,
 ) -> None:
     """Write one ACID data file with physical row groups of ``row_group_rows``.
 
@@ -219,12 +235,19 @@ def write_data_file(
     every column. pyarrow cannot write Parquet Bloom filters, so those
     configured in ``bloom_cols`` (``orc.bloom.filter.columns``-style) go to
     a sidecar, one entry per row group; without them no sidecar is written.
+    Columns of ``table`` are written with their declared types, whatever
+    pandas holds them in (an ``int32`` frame of a ``bigint`` column, counts
+    merged in a float frame, a string column of nulls only): Spark refuses
+    a file whose type differs from the one its schema names.
     """
     data_file.parent.mkdir(parents=True, exist_ok=True)
+    declared = {c.name: _ARROW_TYPES.get(c.dtype) for c in table.columns} if table else {}
+    schema = pa.Schema.from_pandas(pdf, preserve_index=False)
     # microsecond timestamps: Spark's Parquet reader rejects NANOS
     pdf.to_parquet(
         data_file,
         index=False,
+        schema=pa.schema([f.with_type(declared.get(f.name) or f.type) for f in schema]),
         row_group_size=row_group_rows,
         coerce_timestamps="us",
         allow_truncated_timestamps=True,

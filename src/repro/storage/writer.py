@@ -40,9 +40,8 @@ from repro.storage.layout import (
 
 __all__ = ["AcidWriter"]
 
-# the dtype each numeric catalog type is written with: every file then has
-# the Parquet types the reader's schema names (Spark refuses a file whose
-# type differs)
+# the pandas dtype each numeric catalog type is held in before writing, so
+# statistics and LLAP reads see the declared type
 _WRITE_DTYPES = {"int": "int32", "bigint": "int64", "float": "float32", "double": "float64"}
 
 
@@ -126,7 +125,7 @@ class AcidWriter:
             group[ROWID_COL] = np.arange(len(group), dtype=np.int64)
             dir_path = self.table_path(table_name) / key / make_dir(wid)
             write_data_file(
-                dir_path / bucket_file(fileid), group, self.row_group_rows, bloom_cols
+                dir_path / bucket_file(fileid), group, self.row_group_rows, bloom_cols, table
             )
             if key:
                 self.hms.add_partition(table_name, key)

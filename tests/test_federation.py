@@ -246,6 +246,28 @@ class TestPushdown:
 
 class TestDruidBackedView:
     @pytest.mark.parametrize("arm", ["v3_1", "v3_1_container"])
+    def test_rebuild_reingests_in_full(self, spark, tmp_path, arm):
+        """REBUILD of a Druid-backed view re-ingests its datasource from a
+        full run of the definition (Druid rolls rows up, so there is no
+        incremental merge); a scan of the view, which reads the datasource,
+        then sees the rows inserted since the view was built."""
+        events = raw_events(300)
+        with Warehouse(spark, tmp_path, arm, events=events) as w:
+            w.hs2.register_handler(DruidStorageHandler(DruidCluster()))
+            definition = Aggregate(
+                Scan("events"),
+                (TIME_COL, "d1"),
+                (AggCall("sum", col("m1"), "m1"), AggCall("count_star", None, "cnt")),
+            )
+            w.hs2.create_materialized_view("ev_view", definition, store_in="druid")
+            w.hs2.insert("events", events.head(100))
+            w.frames["events"] = pd.concat([events, events.head(100)], ignore_index=True)
+            mode = w.hs2.rebuild_materialized_view("ev_view")
+            r = w.hs2.execute(Scan("ev_view"))
+            assert_equivalent(spark.createDataFrame(r.result), definition.to_sql(), **w.frames)
+            assert mode == "full"
+
+    @pytest.mark.parametrize("arm", ["v3_1", "v3_1_container"])
     def test_empty_view_scans_empty_and_typed(self, spark, tmp_path, arm):
         """A Druid-backed view whose definition matches no rows: Druid's
         answer has no columns, and the scan still returns the view's."""

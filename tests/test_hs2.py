@@ -323,6 +323,37 @@ class TestMaterializedViews:
         }
         check_oracle(hs2, r.result, definition)
 
+    def test_incremental_rebuild_runs_semijoin(self, v31_server, monkeypatch):
+        """A rebuild is prepared like any query: the delta of a view over
+        sales ⋈ filtered item goes through the semijoin reducer."""
+        hs2 = v31_server
+        definition = Aggregate(
+            Filter(
+                Join(Scan("sales"), Scan("item"), col("item_sk").eq(col("i_item_sk"))),
+                col("i_cat").eq("Sports"),
+            ),
+            ("month",),
+            (AggCall("sum", col("price"), "total"), AggCall("count_star", None, "cnt")),
+        )
+        hs2.create_materialized_view("mv_sports", definition)
+        hs2.insert(
+            "sales",
+            pd.DataFrame({"item_sk": [0, 1, 5], "price": [5.0, 7.0, 9.0], "month": [1, 2, 3]}),
+        )
+        reports = []
+        apply_reduction = hs2_module.apply_reduction
+
+        def spy(*args, **kwargs):
+            out = apply_reduction(*args, **kwargs)
+            reports.append(out[1])
+            return out
+
+        monkeypatch.setattr(hs2_module, "apply_reduction", spy)
+        assert hs2.rebuild_materialized_view("mv_sports") == "incremental"
+        assert any(r.runtime_filters for r in reports)
+        monkeypatch.undo()
+        check_oracle(hs2, hs2.execute(Scan("mv_sports")).result, definition)
+
 
 class TestReoptimization:
     def test_injected_failure_triggers_reopt(self, spark, tmp_path):
@@ -365,6 +396,21 @@ def v31_server(request, spark, tmp_path):
 
 def check_oracle(hs2, result, plan):
     assert_equivalent(hs2.spark.createDataFrame(result), plan.to_sql(), **oracle_tables(hs2))
+
+
+class TestDeclaredTypes:
+    def test_all_null_string_column(self, v31_server):
+        """A string column holding only NULLs is written as a string, also
+        by compaction: the container arm's reader names its type."""
+        hs2 = v31_server
+        hs2.create_table(Table("t", [Column("k", "bigint"), Column("s", "string")]))
+        hs2.insert("t", pd.DataFrame({"k": [1, 2], "s": [None, None]}))
+        hs2.insert("t", pd.DataFrame({"k": [3], "s": [None]}))
+        r = hs2.execute(Scan("t"))
+        assert sorted(r.result["k"]) == [1, 2, 3] and r.result["s"].isna().all()
+        assert hs2.compactor.major_compact("t")
+        r = hs2.execute(Scan("t"))
+        assert sorted(r.result["k"]) == [1, 2, 3] and r.result["s"].isna().all()
 
 
 def sales_by_cat(cat, keys):

@@ -8,9 +8,17 @@ import pytest
 
 from repro.bloom import BloomFilter
 from repro.core.expr import Col, InList, col
+from repro.core.semijoin import RuntimeFilter
 from repro.llap import ChunkKey, IOElevator, LlapCache, LlapDaemon, LRFUPolicy
 from repro.storage.layout import bucket_file, write_data_file
 from tests.conftest import make_acid_env, rows
+
+
+def bloom_only(column, values) -> RuntimeFilter:
+    """A runtime filter without a value set: the elevator probes its Bloom
+    filter row by row, as Hive's readers do."""
+    values = list(values)
+    return RuntimeFilter(column, min(values), max(values), BloomFilter.of(values), len(values))
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +177,7 @@ class TestElevator:
         # runtime Bloom keeps multiples of 4
         wanted = [*range(1, 8000, 200), *range(0, 8000, 400)]
         preds = [col("k").lt(7000), col("k").isin(*wanted)]
-        runtime = {"k": BloomFilter.of(list(range(0, 8000, 4)))}
+        runtime = {"k": bloom_only("k", range(0, 8000, 4))}
         reads_per_thread = 6
 
         def work(elevator):
@@ -243,10 +251,8 @@ class TestElevator:
 
     def test_runtime_bloom_filters_rows(self, indexed_file):
         e = IOElevator(LlapCache())
-        bloom = BloomFilter.of([1, 2, 3])
-        pdf = e.read_file(
-            indexed_file, ["k"], [col("k").le(99)], runtime_blooms={"k": bloom}
-        )
+        runtime = {"k": bloom_only("k", [1, 2, 3])}
+        pdf = e.read_file(indexed_file, ["k"], [col("k").le(99)], runtime_blooms=runtime)
         # no false negatives; false positives allowed but rare
         assert {1, 2, 3} <= set(pdf["k"])
         assert len(pdf) <= 6

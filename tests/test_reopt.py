@@ -1,112 +1,119 @@
-"""Query reoptimization (§4.2): overlay and reoptimize strategies."""
+"""Query reoptimization (§4.2) through HiveServer2: the ``reoptimize``
+strategy re-plans a failed query with the runtime statistics it captured."""
+import numpy as np
+import pandas as pd
 import pytest
 
-from repro.core.reopt import ExecutionError, ReoptimizingExecutor
+from repro.core.expr import AggCall, col
+from repro.core.plan import Aggregate, Join, Plan, Scan
+from repro.core.reopt import ExecutionError
+from repro.oracle import assert_equivalent
+from tests.conftest import Warehouse
 
 
-def make_env(fail_on_broadcast=True, actual_rows=5000.0):
-    """A tiny planner/runner pair modelling the paper's scenario: HMS
-    statistics underestimate a join input, the planner picks a broadcast
-    (map-side) join, and execution blows the memory budget."""
-    log = {"plans": [], "runs": []}
+def star_frames(n=2000, seed=4):
+    """A fact table and two dimensions it joins on different keys."""
+    g = np.random.default_rng(seed)
+    return {
+        "fact": pd.DataFrame(
+            {
+                "k1": g.integers(0, 50, n),
+                "k2": g.integers(0, 20, n),
+                "v": g.random(n).round(3),
+            }
+        ),
+        "d1": pd.DataFrame({"d1_k": range(50), "a": [f"a{i % 7}" for i in range(50)]}),
+        "d2": pd.DataFrame({"d2_k": range(20), "b": [f"b{i % 3}" for i in range(20)]}),
+    }
 
-    def plan_fn(overrides, config):
-        estimated = overrides.get("build_side", 100.0)  # HMS says small
-        if config.get("join_strategy") == "shuffle":
-            algo = "shuffle"
-        else:
-            algo = "broadcast" if estimated < 1000 else "shuffle"
-        log["plans"].append(algo)
-        return algo
 
-    def run_fn(plan, config):
-        log["runs"].append(plan)
-        if plan == "broadcast" and fail_on_broadcast:
-            raise ExecutionError(
-                "simulated OOM in broadcast join",
-                runtime_stats={"build_side": actual_rows},
-            )
-        return f"ok:{plan}"
+def star_query() -> Plan:
+    return Aggregate(
+        Join(
+            Join(Scan("fact"), Scan("d1"), col("k1").eq(col("d1_k"))),
+            Scan("d2"),
+            col("k2").eq(col("d2_k")),
+        ),
+        ("a", "b"),
+        (AggCall("sum", col("v"), "total"),),
+    )
 
-    return plan_fn, run_fn, log
+
+def first_joined(plan: Plan) -> str:
+    """The dimension the fact table is joined with first."""
+    join = next(
+        n
+        for n in plan.walk()
+        if isinstance(n, Join)
+        and not any(isinstance(m, Join) for c in n.children() for m in c.walk())
+    )
+    (dim,) = join.tables() - {"fact"}
+    return dim
+
+
+@pytest.fixture
+def star(spark, tmp_path):
+    """A v3.1 (LLAP) warehouse holding ``star_frames()``."""
+    with Warehouse(spark, tmp_path, "v3_1", **star_frames()) as w:
+        yield w
 
 
 class TestNoFailure:
-    def test_single_attempt(self):
-        plan_fn, run_fn, log = make_env(fail_on_broadcast=False)
-        r = ReoptimizingExecutor().execute(plan_fn, run_fn)
-        assert r.result == "ok:broadcast"
+    def test_single_attempt(self, star):
+        r = star.hs2.execute(star_query())
         assert r.attempts == 1
-        assert r.strategy_used is None
-
-
-class TestOverlay:
-    def test_overlay_forces_config(self):
-        """All re-executions run with the configured overlay (robust join)."""
-        plan_fn, run_fn, log = make_env()
-        ex = ReoptimizingExecutor(strategy="overlay")
-        r = ex.execute(plan_fn, run_fn)
-        assert r.result == "ok:shuffle"
-        assert r.attempts == 2
-        assert r.strategy_used == "overlay"
-        assert log["plans"] == ["broadcast", "shuffle"]
-
-    def test_custom_overlay(self):
-        plan_fn, run_fn, _ = make_env()
-        ex = ReoptimizingExecutor(
-            strategy="overlay", overlay_config={"join_strategy": "shuffle"}
+        assert_equivalent(
+            star.hs2.spark.createDataFrame(r.result), star_query().to_sql(), **star.frames
         )
-        assert ex.execute(plan_fn, run_fn).result == "ok:shuffle"
 
 
 class TestReoptimize:
-    def test_runtime_stats_change_plan(self):
-        """The replanned query sees the observed cardinality and picks the
-        robust algorithm on its own."""
-        plan_fn, run_fn, log = make_env()
-        ex = ReoptimizingExecutor(strategy="reoptimize")
-        r = ex.execute(plan_fn, run_fn)
-        assert r.result == "ok:shuffle"
-        assert r.strategy_used == "reoptimize"
-        assert r.runtime_stats == {"build_side": 5000.0}
-        assert log["plans"] == ["broadcast", "shuffle"]
+    def test_runtime_stats_change_plan(self, star):
+        """The failed attempt reports that the dimension joined first is
+        huge; the second attempt plans with that count instead of the
+        metastore's and joins the other dimension first."""
+        plans = []
 
-    def test_stats_accumulate_across_attempts(self):
-        calls = []
+        def injector(plan, result):
+            plans.append(plan)
+            if len(plans) == 1:
+                huge = Scan(first_joined(plan)).fingerprint()
+                raise ExecutionError("simulated OOM", runtime_stats={huge: 1e9})
 
-        def plan_fn(overrides, config):
-            calls.append(dict(overrides))
-            return "p"
-
-        def run_fn(plan, config):
-            if len(calls) < 3:
-                raise ExecutionError("again", runtime_stats={f"op{len(calls)}": 1.0})
-            return "done"
-
-        ex = ReoptimizingExecutor(strategy="reoptimize", max_executions=3)
-        r = ex.execute(plan_fn, run_fn)
-        assert r.result == "done"
-        assert calls[2] == {"op1": 1.0, "op2": 1.0}
+        star.hs2.failure_injector = injector
+        r = star.hs2.execute(star_query())
+        assert r.attempts == 2
+        assert r.final_plan is plans[1]
+        assert first_joined(plans[0]) != first_joined(plans[1])
+        assert_equivalent(
+            star.hs2.spark.createDataFrame(r.result), star_query().to_sql(), **star.frames
+        )
 
 
 class TestFailurePaths:
-    def test_off_strategy_raises_immediately(self):
-        plan_fn, run_fn, log = make_env()
+    def test_off_strategy_raises_immediately(self, spark, tmp_path):
+        """Hive v1.2 has no reoptimization: one execution, then the error."""
+        with Warehouse(spark, tmp_path, "v1_2", **star_frames()) as w:
+            runs = []
+
+            def injector(plan, result):
+                runs.append(plan)
+                raise ExecutionError("always fails")
+
+            w.hs2.failure_injector = injector
+            with pytest.raises(ExecutionError):
+                w.hs2.execute(star_query())
+            assert len(runs) == 1
+
+    def test_exhausted_attempts_raise(self, star):
+        """v3.1 executes a failing query twice, then raises."""
+        runs = []
+
+        def injector(plan, result):
+            runs.append(plan)
+            raise ExecutionError("always fails", runtime_stats={"op": 1.0})
+
+        star.hs2.failure_injector = injector
         with pytest.raises(ExecutionError):
-            ReoptimizingExecutor(strategy="off").execute(plan_fn, run_fn)
-        assert log["runs"] == ["broadcast"]
-
-    def test_exhausted_attempts_raise(self):
-        def plan_fn(overrides, config):
-            return "p"
-
-        def run_fn(plan, config):
-            raise ExecutionError("always fails")
-
-        with pytest.raises(ExecutionError):
-            ReoptimizingExecutor(max_executions=2).execute(plan_fn, run_fn)
-
-    def test_unknown_strategy(self):
-        plan_fn, run_fn, _ = make_env()
-        with pytest.raises(ValueError):
-            ReoptimizingExecutor(strategy="bogus").execute(plan_fn, run_fn)
+            star.hs2.execute(star_query())
+        assert len(runs) == 2
