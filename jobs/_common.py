@@ -17,7 +17,6 @@ def get_spark(app: str) -> SparkSession:
     )
     return (
         SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", "32")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()

@@ -199,11 +199,11 @@ class CostModel:
             out = max(out, lr)
         return max(1.0, out)
 
-    # -- plan cost (sum of intermediate result sizes) ---------------------
+    # -- plan cost (rows read plus intermediate result sizes) -------------
 
     def plan_cost(self, plan: Plan) -> float:
         total = 0.0
         for node in plan.walk():
-            if isinstance(node, (Join, Aggregate, Filter)):
+            if isinstance(node, (Scan, Join, Aggregate, Filter)):
                 total += self.rows(node)
         return total + self.rows(plan)

@@ -22,6 +22,7 @@ not a measurement of this machine (EXPERIMENTS.md).
 """
 from __future__ import annotations
 
+import functools
 import time
 from pathlib import Path
 
@@ -37,12 +38,26 @@ from repro.workloads import ssb, tpcds_lite
 __all__ = ["table1_llap", "fig7_versions", "fig8_druid", "format_rows"]
 
 
-def _tune(spark: SparkSession) -> None:
-    """Right-size the session for SF<=0.1 inputs: 64 shuffle partitions
-    (the repo default, sized for bigger data) add pure task-scheduling
-    latency to *both* arms of every comparison, diluting the contrasts
-    the experiments measure."""
-    spark.conf.set("spark.sql.shuffle.partitions", "16")
+_SHUFFLE_PARTITIONS = "spark.sql.shuffle.partitions"
+
+
+def _tuned(harness):
+    """Right-size the session for SF<=0.1 inputs while ``harness`` runs:
+    more shuffle partitions (the test session's 64, Spark's default 200)
+    add pure task-scheduling latency to *both* arms of every comparison,
+    diluting the contrasts the experiments measure. The session's own
+    value is restored when the harness returns."""
+
+    @functools.wraps(harness)
+    def run(spark: SparkSession, *args, **kwargs):
+        previous = spark.conf.get(_SHUFFLE_PARTITIONS)
+        spark.conf.set(_SHUFFLE_PARTITIONS, "16")
+        try:
+            return harness(spark, *args, **kwargs)
+        finally:
+            spark.conf.set(_SHUFFLE_PARTITIONS, previous)
+
+    return run
 
 
 def _timed(hs2: HiveServer2, q: QuerySpec, runs: int) -> float:
@@ -61,11 +76,11 @@ def _timed(hs2: HiveServer2, q: QuerySpec, runs: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+@_tuned
 def table1_llap(
     spark: SparkSession, workdir: str | Path, sf: float = 0.05, runs: int = 2
 ) -> dict:
     """All TPC-DS-lite queries, same configuration, LLAP enabled/disabled."""
-    _tune(spark)
     workdir = Path(workdir)
     hms = HiveMetastore()
     container = HiveServer2(
@@ -112,10 +127,10 @@ def table1_llap(
 # ---------------------------------------------------------------------------
 
 
+@_tuned
 def fig7_versions(
     spark: SparkSession, workdir: str | Path, sf: float = 0.05, runs: int = 2
 ) -> dict:
-    _tune(spark)
     workdir = Path(workdir)
     hms = HiveMetastore()
     v12 = HiveServer2(
@@ -196,10 +211,10 @@ def fig7_versions(
 # ---------------------------------------------------------------------------
 
 
+@_tuned
 def fig8_druid(
     spark: SparkSession, workdir: str | Path, sf: float = 0.05, runs: int = 2
 ) -> dict:
-    _tune(spark)
     workdir = Path(workdir)
 
     def build(tag: str, store_in: str) -> HiveServer2:

@@ -39,7 +39,7 @@ from repro.core.rules import conjuncts
 from repro.druid import TIME_COL, DruidDatasource
 from repro.federation.handler import DruidStorageHandler
 
-__all__ = ["push_to_druid", "translate_to_druid_query"]
+__all__ = ["push_to_druid"]
 
 
 @dataclass
@@ -302,9 +302,3 @@ def push_to_druid(plan: Plan, hms, handler: DruidStorageHandler) -> Plan:
         return node if new == kids else node.with_children(*new)
 
     return visit(plan)
-
-
-def translate_to_druid_query(plan: Plan, hms, handler: DruidStorageHandler) -> dict | None:
-    """Convenience: the JSON a plan would push, or None (for tests/demos)."""
-    state = _fold(plan, handler, hms)
-    return None if state is None else _state_to_query(state)

@@ -1,10 +1,10 @@
 """LLAP daemon (§5.1): persistent executors + cache-backed table scans.
 
 A daemon bundles the I/O elevator, the chunk/metadata cache, and a bounded
-pool of *executors* that run query fragments in parallel (the unit the
-workload manager preempts/moves, §5.2). Daemons are stateless with respect
-to data: everything they hold is a cache over the ACID files, so any
-daemon could serve any fragment after a failure.
+pool of ``N_EXECUTORS`` *executors* that run query fragments in parallel.
+Daemons are stateless with respect to data: everything they hold is a
+cache over the ACID files, so any daemon could serve any fragment after a
+failure.
 
 ``scan_table`` is the LLAP fast path used by the HS2 execution context: it
 resolves the snapshot's visible files exactly like the container-mode
@@ -39,18 +39,19 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["LlapDaemon"]
 
+N_EXECUTORS = 4
+
 
 @dataclass
 class LlapDaemon:
     hms: HiveMetastore
     warehouse: str
-    n_executors: int = 4
     cache: LlapCache = field(default_factory=LlapCache)
 
     def __post_init__(self) -> None:
         self.elevator = IOElevator(self.cache)
         self._pool = ThreadPoolExecutor(
-            max_workers=self.n_executors, thread_name_prefix="llap-exec"
+            max_workers=N_EXECUTORS, thread_name_prefix="llap-exec"
         )
         # AcidReader is reused only for visible-file resolution (no Spark)
         self._reader = AcidReader(self.hms, self.warehouse, spark=None)

@@ -2,12 +2,12 @@
 
 Stores table schemas (including ``PARTITIONED BY`` layout, §3.1), integrity
 constraints (used by the MV rewriting algorithm, §4.4), additive statistics
-(§4.1), materialized-view metadata, storage-handler bindings (§6.1), and
-workload-manager resource plans (§5.2). The real HMS persists via an RDBMS +
-DataNucleus behind a Thrift API; the paper's behaviours depend only on the
-catalog semantics, so this is an in-process object model with JSON-free,
-test-friendly accessors. A :class:`TxnManager` is embedded, mirroring the
-paper's "transaction manager built on top of the HMS".
+(§4.1), materialized-view metadata and storage-handler bindings (§6.1).
+The real HMS persists via an RDBMS + DataNucleus behind a Thrift API; the
+paper's behaviours depend only on the catalog semantics, so this is an
+in-process object model with JSON-free, test-friendly accessors. A
+:class:`TxnManager` is embedded, mirroring the paper's "transaction manager
+built on top of the HMS".
 """
 from __future__ import annotations
 
@@ -130,8 +130,6 @@ class HiveMetastore:
         self._partition_stats: dict[str, dict[str, TableStats]] = {}
         self._partitions: dict[str, set[str]] = {}
         self._views: dict[str, MaterializedView] = {}
-        self._resource_plans: dict[str, object] = {}
-        self._active_plan: str | None = None
         # Metastore hooks (§6.1): handler name -> hook object with
         # on_create_table / on_insert callbacks
         self._hooks: dict[str, object] = {}
@@ -215,19 +213,6 @@ class HiveMetastore:
 
     def get_view(self, name: str) -> MaterializedView:
         return self._views[name]
-
-    # -- resource plans (persisted in HMS per §5.2) -----------------------
-
-    def save_resource_plan(self, name: str, plan: object) -> None:
-        self._resource_plans[name] = plan
-
-    def activate_resource_plan(self, name: str) -> None:
-        if name not in self._resource_plans:
-            raise KeyError(f"resource plan {name!r} not found")
-        self._active_plan = name
-
-    def active_resource_plan(self) -> object | None:
-        return self._resource_plans.get(self._active_plan) if self._active_plan else None
 
     # -- storage handler hooks (§6.1) -------------------------------------
 

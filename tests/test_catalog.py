@@ -147,17 +147,3 @@ class TestHooks:
         hms.register_hook("druid", Hook())
         hms.create_table(_tbl())
         assert events == []
-
-
-class TestResourcePlans:
-    def test_save_activate(self, hms):
-        hms.save_resource_plan("daytime", {"pools": []})
-        hms.activate_resource_plan("daytime")
-        assert hms.active_resource_plan() == {"pools": []}
-
-    def test_activate_missing_raises(self, hms):
-        with pytest.raises(KeyError):
-            hms.activate_resource_plan("nope")
-
-    def test_no_active_plan(self, hms):
-        assert hms.active_resource_plan() is None

@@ -1,7 +1,7 @@
 """Experiment harnesses (§7): smoke execution + report formatting."""
 import pytest
 
-from repro.experiments import format_rows, table1_llap
+from repro.experiments import _tuned, format_rows, table1_llap
 
 
 class TestTable1Smoke:
@@ -61,3 +61,22 @@ class TestFormatting:
             }
         )
         assert "Hive/Druid" in text and "1.6x" in text
+
+
+class TestSessionRestored:
+    KEY = "spark.sql.shuffle.partitions"
+
+    def test_harness_restores_shuffle_partitions(self, spark):
+        before = spark.conf.get(self.KEY)
+        assert _tuned(lambda s: s.conf.get(self.KEY))(spark) == "16"
+        assert spark.conf.get(self.KEY) == before
+
+    def test_restored_when_harness_raises(self, spark):
+        before = spark.conf.get(self.KEY)
+
+        def failing(s):
+            raise RuntimeError("harness failed")
+
+        with pytest.raises(RuntimeError):
+            _tuned(failing)(spark)
+        assert spark.conf.get(self.KEY) == before

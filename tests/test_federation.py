@@ -9,7 +9,7 @@ from repro.core.compile import compile_plan
 from repro.core.expr import AggCall, And, Col, Func, InList, col
 from repro.core.plan import Aggregate, Filter, ForeignQuery, Limit, Scan, Sort
 from repro.druid import TIME_COL, DruidCluster, DruidDatasource, MetricSpec
-from repro.federation import DruidStorageHandler, push_to_druid, translate_to_druid_query
+from repro.federation import DruidStorageHandler, push_to_druid
 from repro.metastore import Table
 from repro.oracle import assert_equivalent
 from tests.conftest import Warehouse
@@ -129,7 +129,7 @@ class TestPushdown:
     def test_figure6_json_shape(self, fed):
         w, handler = fed
         register_external(w.hs2)
-        q = translate_to_druid_query(figure6_plan(), w.hms, handler)
+        q = json.loads(push_to_druid(figure6_plan(), w.hms, handler).query_repr)
         assert q["queryType"] == "groupBy"
         assert q["dataSource"] == "my_druid_source"
         assert q["granularity"] == "all"
@@ -181,7 +181,7 @@ class TestPushdown:
         w, handler = fed
         register_external(w.hs2)
         plan = Filter(Scan("druid_table_1"), col("d1").eq("x"))
-        q = translate_to_druid_query(plan, w.hms, handler)
+        q = json.loads(push_to_druid(plan, w.hms, handler).query_repr)
         assert q["queryType"] == "scan"
         assert q["filter"] == {"type": "selector", "dimension": "d1", "value": "x"}
 

@@ -286,7 +286,7 @@ def acid_llap(spark, tmp_path):
             properties={"bloom.filter.columns": "k"},
         )
     )
-    daemon = LlapDaemon(env.hms, str(env.warehouse), n_executors=2)
+    daemon = LlapDaemon(env.hms, str(env.warehouse))
     return env, daemon
 
 

@@ -16,7 +16,10 @@ from repro.core.mv import (
 )
 from repro.core.optimizer import Optimizer, OptimizerContext
 from repro.core.plan import Aggregate, Filter, Join, Scan, Union
+from repro.druid import TIME_COL, DruidCluster
+from repro.federation import DruidStorageHandler
 from repro.oracle import assert_equivalent
+from tests.conftest import Warehouse
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +400,33 @@ class TestChooseRewrite:
         assert used == "mat_view"
         _, used2 = choose_rewrite(full_query(), pc.hms, ctx.cost, wids_now(pc.hms), now=1700.0)
         assert used2 is None
+
+    @pytest.mark.parametrize("store_in", ["native", "druid"])
+    def test_view_reading_fewer_rows_used(self, spark, tmp_path, store_in):
+        """A rollup of ``events`` by ``(__time, d1)`` saves the query only
+        rows read: the aggregate above it and the result are the same size.
+        Counting each scan's rows in the plan cost makes the view win."""
+        g = np.random.default_rng(9)
+        n = 3000
+        events = pd.DataFrame(
+            {
+                TIME_COL: pd.to_datetime("2016-06-01")
+                + pd.to_timedelta(g.integers(0, 1000, n), unit="D"),
+                "d1": g.choice(["x", "y", "z"], n),
+                "m1": g.random(n).round(4),
+            }
+        )
+        with Warehouse(spark, tmp_path, events=events) as w:
+            w.hs2.register_handler(DruidStorageHandler(DruidCluster()))
+            w.hs2.create_materialized_view(
+                "v",
+                Aggregate(Scan("events"), (TIME_COL, "d1"), (AggCall("sum", col("m1"), "m1"),)),
+                store_in=store_in,
+            )
+            query = Aggregate(Scan("events"), ("d1",), (AggCall("sum", col("m1"), "s"),))
+            r = w.hs2.execute(query)
+            assert r.mv_used == "v"
+            assert_equivalent(spark.createDataFrame(r.result), query.to_sql(), **w.frames)
 
 
 class TestIncrementalMerge:
