@@ -47,6 +47,7 @@ from repro.core.mv import choose_rewrite, merge_aggregate_states, normalize_spja
 from repro.core.optimizer import Optimizer, OptimizerContext, default_stages, v12_stages
 from repro.core.plan import Filter, ForeignQuery, Plan, Scan, Unpivot
 from repro.core.reopt import ExecutionError
+from repro.core.rules import prune_partitions
 from repro.core.semijoin import ReductionReport, RuntimeFilter, apply_reduction
 from repro.core.sharedwork import (
     find_shared_subtrees,
@@ -281,7 +282,8 @@ class HiveServer2:
     ):
         self.spark = spark
         # both arms hand pandas frames to Spark and collect results as
-        # pandas; without Arrow the LLAP arm runs ~3x slower
+        # pandas; without Arrow the LLAP arm runs ~3x slower. The reader
+        # sets what its scans assume (no file-listing job) itself.
         spark.conf.set("spark.sql.execution.arrow.pyspark.enabled", "true")
         self.warehouse = str(warehouse)
         self.config = config or EngineConfig.v3_1()
@@ -343,10 +345,19 @@ class HiveServer2:
 
     def _rows(self, table: str, snapshot: Snapshot, cond: Expr | None = None) -> pd.DataFrame:
         """The rows of ``table`` (with their identity triple) that
-        ``snapshot`` sees, optionally only those matching ``cond``."""
+        ``snapshot`` sees, optionally only those matching ``cond``, read
+        from the partitions ``cond`` can match (static pruning, as for a
+        query)."""
         wids = self.hms.txns.valid_write_ids(snapshot, table)
-        df = self.reader.scan(table, wids, include_hidden=True)
-        return (df if cond is None else df.filter(cond.to_spark())).toPandas()
+        if cond is None:
+            return self.reader.scan(table, wids, include_hidden=True).toPandas()
+        pruned = prune_partitions(
+            Filter(Scan(table), cond), OptimizerContext.for_metastore(self.hms)
+        )
+        df = self.reader.scan(
+            table, wids, partitions=pruned.child.partitions, include_hidden=True
+        )
+        return df.filter(cond.to_spark()).toPandas()
 
     def delete_where(self, table: str, cond: Expr) -> int:
         with self._transaction() as (txn, snapshot):

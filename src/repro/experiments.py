@@ -106,14 +106,19 @@ def table1_llap(
             totals["container"] += tc
             totals["llap"] += tl
             per_query.append({"query": q.name, "container_s": tc, "llap_s": tl})
+    # each container execution sleeps container_startup_s once, so each
+    # query's averaged time holds exactly one sleep
+    measured = totals["container"] - container.config.container_startup_s * len(per_query)
     return {
         "experiment": "table1_llap",
         "sf": sf,
         "runs": runs,
         "per_query": per_query,
         "total_container_s": totals["container"],
+        "total_container_measured_s": measured,
         "total_llap_s": totals["llap"],
         "speedup": totals["container"] / max(totals["llap"], 1e-9),
+        "speedup_measured": measured / max(totals["llap"], 1e-9),
         "cache_stats": {
             "data_hits": llap.daemon.cache.stats.data_hits,
             "data_misses": llap.daemon.cache.stats.data_misses,
@@ -261,11 +266,17 @@ def format_rows(result: dict) -> str:
     """Render an experiment result as the paper-style text table."""
     out = [f"== {result['experiment']} (SF={result['sf']}, {result['runs']} warm runs) =="]
     if result["experiment"] == "table1_llap":
-        out.append(f"{'Execution mode':<28}{'Total response time (s)':>25}")
-        out.append(f"{'Container (without LLAP)':<28}{result['total_container_s']:>25.2f}")
-        out.append(f"{'LLAP':<28}{result['total_llap_s']:>25.2f}")
         out.append(
-            f"speedup {result['speedup']:.2f}x   (paper: 41576s vs 15540s = 2.68x)"
+            f"{'Execution mode':<28}{'Total response time (s)':>25}{'measured-only (s)':>19}"
+        )
+        out.append(
+            f"{'Container (without LLAP)':<28}{result['total_container_s']:>25.2f}"
+            f"{result['total_container_measured_s']:>19.2f}"
+        )
+        out.append(f"{'LLAP':<28}{result['total_llap_s']:>25.2f}{result['total_llap_s']:>19.2f}")
+        out.append(
+            f"speedup {result['speedup']:.2f}x, measured-only {result['speedup_measured']:.2f}x"
+            f"   (paper: 41576s vs 15540s = 2.68x)"
         )
     elif result["experiment"] == "fig7_versions":
         out.append(f"{'query':<26}{'v1.2 (s)':>10}{'v3.1 (s)':>10}{'speedup':>9}")

@@ -16,6 +16,13 @@ All of this happens lazily as Spark DataFrame operations, so Catalyst fuses
 the visibility filter into the Parquet scan and the anti-join runs wherever
 the plan needs it — the "merge happens at read time" behaviour of Hive's
 second-generation ACID design.
+
+The reader resolves a snapshot's exact file list itself (step 1), so Spark
+only needs a stat per known file. Given more paths than
+``spark.sql.sources.parallelPartitionDiscovery.threshold`` (32 by default),
+Spark would list them again with a distributed job, one task per path, on
+every scan it builds; :class:`AcidReader` raises that threshold on its
+session once, so the stat runs on the driver.
 """
 from __future__ import annotations
 
@@ -81,10 +88,20 @@ def spark_schema(
 
 
 class AcidReader:
-    def __init__(self, hms: HiveMetastore, warehouse: Path | str, spark: SparkSession):
+    def __init__(
+        self, hms: HiveMetastore, warehouse: Path | str, spark: SparkSession | None
+    ):
         self.hms = hms
         self.warehouse = Path(warehouse)
         self.spark = spark
+        if spark is not None:
+            # the file list is already resolved (select_dirs): stat each
+            # file on the driver instead of a listing job per scan build
+            # (module docstring). Set once here, not per scan: a scan would
+            # pay a Py4J round trip, and concurrent statements share the conf.
+            spark.conf.set(
+                "spark.sql.sources.parallelPartitionDiscovery.threshold", str(2**31 - 1)
+            )
 
     def visible_files(
         self,

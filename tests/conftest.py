@@ -4,9 +4,13 @@
 partitioned test table, wired to the session SparkSession. ``Warehouse``
 (and the ``warehouse`` fixture) is a ``HiveServer2`` with pandas frames
 loaded as ACID tables, for tests that compile and run plans.
+``spark_jobs`` collects the Spark jobs a block launches.
 """
+import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import pandas as pd
 import pytest
@@ -15,6 +19,26 @@ from repro.core.features import EngineConfig
 from repro.core.hs2 import HiveServer2, _HS2ExecutionContext
 from repro.metastore import Column, HiveMetastore, Table, infer_columns
 from repro.storage import AcidReader, AcidWriter, Compactor
+
+
+_job_groups = itertools.count()
+
+
+@contextmanager
+def spark_jobs(spark) -> Iterator[list[int]]:
+    """Yield a list that holds, once the block exits, the ids of the Spark
+    jobs launched inside it on this thread. The block runs under a job
+    group of its own, cleared afterwards: the test session is shared."""
+    sc = spark.sparkContext
+    group = f"spark_jobs-{next(_job_groups)}"
+    jobs: list[int] = []
+    sc.setJobGroup(group, "jobs launched inside a test block")
+    try:
+        yield jobs
+    finally:
+        for key in ("spark.jobGroup.id", "spark.job.description", "spark.job.interruptOnCancel"):
+            sc.setLocalProperty(key, None)
+        jobs.extend(sc.statusTracker().getJobIdsForGroup(group))
 
 
 @dataclass

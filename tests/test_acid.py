@@ -4,7 +4,7 @@ import pytest
 
 from repro.oracle import assert_equivalent
 from repro.storage import HIDDEN_COLS
-from tests.conftest import rows
+from tests.conftest import rows, spark_jobs
 
 
 def scan_pdf(acid, table, **kw):
@@ -198,3 +198,19 @@ class TestOracle:
         assert_equivalent(
             acid.reader.scan("t"), "SELECT * FROM expected", expected=expected
         )
+
+
+class TestScanBuild:
+    def test_many_files_build_without_a_listing_job(self, spark, acid):
+        """The reader resolves the file list itself: with more files than
+        Spark's parallel-listing threshold (32), building the scan still
+        launches no Spark job."""
+        n = 40
+        src = rows(list(range(n)), [float(i) for i in range(n)], list(range(n)))
+        acid.run_insert("t", src)  # one delta file per partition
+        wids = acid.hms.txns.valid_write_ids(acid.hms.txns.snapshot(), "t")
+        assert len(acid.reader.visible_files("t", wids)[0]) == n
+        with spark_jobs(spark) as jobs:
+            df = acid.reader.scan("t")
+        assert jobs == []
+        assert_equivalent(df.selectExpr("k", "v", "p"), "SELECT k, v, p FROM src", src=src)

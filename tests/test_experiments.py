@@ -1,6 +1,7 @@
 """Experiment harnesses (§7): smoke execution + report formatting."""
 import pytest
 
+from repro.core.features import CONTAINER_STARTUP_S
 from repro.experiments import _tuned, format_rows, table1_llap
 
 
@@ -18,6 +19,14 @@ class TestTable1Smoke:
         """Even at smoke scale the container arm pays startup per query."""
         assert result["total_llap_s"] < result["total_container_s"]
 
+    def test_measured_only_drops_the_startup_sleep(self, result):
+        """The measured-only container total is the total minus one
+        container start-up per query; its speedup divides that by LLAP's."""
+        sleeps = CONTAINER_STARTUP_S * len(result["per_query"])
+        measured = result["total_container_measured_s"]
+        assert measured == pytest.approx(result["total_container_s"] - sleeps)
+        assert result["speedup_measured"] == pytest.approx(measured / result["total_llap_s"])
+
     def test_paper_reference_embedded(self, result):
         assert result["paper"]["container_s"] == 41576
 
@@ -25,6 +34,7 @@ class TestTable1Smoke:
         text = format_rows(result)
         assert "Container (without LLAP)" in text
         assert "LLAP" in text
+        assert f"measured-only {result['speedup_measured']:.2f}x" in text
 
 
 class TestFormatting:

@@ -203,6 +203,41 @@ class TestDML:
         after = hs2.reader.scan("sales").toPandas()
         assert (after.loc[after["month"] == 2, "price"] == 0).all()
 
+    @pytest.mark.parametrize(
+        "dml, expected",
+        [
+            ("delete", "SELECT * FROM before WHERE NOT (month = 5 AND price > 0.5)"),
+            (
+                "update",
+                "SELECT item_sk, CASE WHEN month = 5 AND price > 0.5 THEN price * 2"
+                " ELSE price END AS price, month FROM before",
+            ),
+        ],
+        ids=["delete", "update"],
+    )
+    def test_victims_read_only_matching_partitions(
+        self, spark, tmp_path, monkeypatch, dml, expected
+    ):
+        """A condition with a partition-column conjunct restricts the
+        victims' scan to that partition's files."""
+        hs2 = make_server(spark, tmp_path)
+        before = hs2.reader.scan("sales").toPandas()
+        listed, visible_files = [], hs2.reader.visible_files
+
+        def spy(table, wids, partitions=None):
+            data, deletes = visible_files(table, wids, partitions)
+            listed.extend(data + deletes)
+            return data, deletes
+
+        monkeypatch.setattr(hs2.reader, "visible_files", spy)
+        cond = And(col("month").eq(5), col("price").gt(0.5))
+        if dml == "delete":
+            hs2.delete_where("sales", cond)
+        else:
+            hs2.update_where("sales", cond, {"price": col("price").mul(2)})
+        assert listed and all("/month=5/" in f for f in listed)
+        assert_equivalent(hs2.reader.scan("sales"), expected, before=before)
+
     def test_merge_upsert(self, spark, tmp_path):
         hs2 = make_server(spark, tmp_path, EngineConfig.v3_1(container_startup_s=0.0))
         hs2.create_table(

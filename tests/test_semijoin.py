@@ -11,7 +11,8 @@ from repro.core.optimizer import OptimizerContext
 from repro.core.plan import Filter, Join, Scan
 from repro.core.semijoin import apply_reduction, find_opportunities
 from repro.oracle import assert_equivalent
-from tests.conftest import Warehouse
+from repro.workloads import tpcds_lite
+from tests.conftest import Warehouse, spark_jobs
 
 _g = np.random.default_rng(11)
 STORE_SALES = pd.DataFrame(
@@ -140,6 +141,17 @@ class TestDimensionSide:
         _, report = reduce_and_check(pc, ctx, star_query(dim_filter))
         assert len(jobs) == 1
         assert report.runtime_filters[0].n_values == 10
+
+    def test_daemon_side_prepare_launches_no_spark_job(self, spark, warehouse):
+        """q02's Sports dimension side is evaluated in the daemon: preparing
+        the query reduces ``store_sales`` without a Spark job."""
+        tpcds_lite.load_into(warehouse.hs2, sf=0.002)
+        (q,) = [q for q in tpcds_lite.queries() if q.name == "q02_semijoin_sports"]
+        ctx = warehouse.context()
+        with spark_jobs(spark) as jobs:
+            ctx.prepare(q.plan, {})
+        assert ctx.semijoin.runtime_filters
+        assert jobs == []
 
     def test_daemon_error_propagates(self, warehouse, monkeypatch):
         """A failed daemon read is an error, not a reason to re-run the
