@@ -4,7 +4,9 @@ This is the HS2 "physical plan" stage (Figure 2). Scans and foreign
 queries are delegated to the query's execution context
 (:class:`repro.core.hs2._HS2ExecutionContext`), which reads through the ACID
 snapshot reader (container mode), the LLAP elevator (cached, row-group
-skipping), or a federated system (``ForeignQuery``). Shared-work reuse
+skipping), or a federated system (``ForeignQuery``). An ``Aggregate`` asks
+the context first: on LLAP the daemon runs it with its Filter/Scan input as
+one fragment and the context hands back only the groups. Shared-work reuse
 (§4.5) hooks in here: subtrees whose fingerprints are listed in
 ``shared_fingerprints`` are compiled once, persisted, and reused; a caller
 that passes ``_memo`` gets the persisted frames back to unpersist them
@@ -35,7 +37,7 @@ from repro.core.plan import (
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.hs2 import _HS2ExecutionContext
 
-__all__ = ["compile_plan"]
+__all__ = ["compile_plan", "spark_aggregate"]
 
 
 _JOIN_HOW = {
@@ -73,6 +75,11 @@ def compile_plan(
     return df
 
 
+def spark_aggregate(df: DataFrame, plan: Aggregate) -> DataFrame:
+    """``plan``'s aggregation over ``df``; without keys, one global group."""
+    return df.groupBy(*plan.keys).agg(*[a.to_spark() for a in plan.aggs])
+
+
 def _compile(plan, ctx, shared, memo) -> DataFrame:
     rec = lambda p: compile_plan(p, ctx, shared, memo)  # noqa: E731
 
@@ -92,11 +99,13 @@ def _compile(plan, ctx, shared, memo) -> DataFrame:
             return left.crossJoin(right)
         return left.join(right, on=plan.cond.to_spark(), how=_JOIN_HOW[plan.how])
     if isinstance(plan, Aggregate):
-        df = rec(plan.child)
-        aggs = [a.to_spark() for a in plan.aggs]
-        if plan.keys:
-            return df.groupBy(*plan.keys).agg(*aggs)
-        return df.agg(*aggs)
+        # the LLAP daemon may run a scan → filter → aggregate fragment
+        # itself (§5.1), unless part of it is shared work computed once
+        if not (shared and any(n.fingerprint() in shared for n in plan.child.walk())):
+            df = ctx.aggregate_in_daemon(plan)
+            if df is not None:
+                return df
+        return spark_aggregate(rec(plan.child), plan)
     if isinstance(plan, Sort):
         df = rec(plan.child)
         cols = [F.col(c).asc() if asc else F.col(c).desc() for c, asc in plan.keys]

@@ -6,8 +6,11 @@ Immutable dataclass nodes with three backends:
 * ``to_sql()``  — ANSI-ish SQL accepted by DuckDB (the correctness oracle)
   and by "JDBC" federation targets;
 * ``evaluate_vector(pdf)`` — vectorized pandas evaluation, used where a
-  scan is served from pandas: the semijoin fast path over LLAP scans and
-  the SET expressions of UPDATE.
+  scan is served from pandas: the LLAP daemon's row filters and aggregates,
+  the merge of an incremental MV rebuild and the SET expressions of
+  UPDATE. :func:`holds` (what a WHERE clause keeps) and :func:`aggregate`
+  (a GROUP BY) add SQL's NULL semantics. A form only the engine evaluates
+  raises one of :data:`UNEVALUABLE`.
 
 The optimizer's constant folding and partition pruning apply one operator
 to two literals through :func:`apply_op`.
@@ -20,8 +23,9 @@ from __future__ import annotations
 import datetime as _dt
 import operator as _op
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import Column
 from pyspark.sql import functions as F
@@ -47,6 +51,9 @@ __all__ = [
     "NON_DETERMINISTIC_FUNCS",
     "RUNTIME_CONSTANT_FUNCS",
     "apply_op",
+    "holds",
+    "aggregate",
+    "UNEVALUABLE",
 ]
 
 # the binary operators; they apply alike to scalars, pandas and Spark columns
@@ -188,12 +195,23 @@ class Lit(Expr):
 
 
 def _coerce_for_cmp(series, value):
-    """Align a pandas series and a literal for comparison (dates vs strings)."""
+    """Align a pandas series and a literal for comparison (timestamps vs
+    strings). A DATE column, held as ``datetime.date`` objects, is compared
+    with a string only by the engine, which casts the string."""
     if pd.api.types.is_datetime64_any_dtype(series) and isinstance(
         value, (str, _dt.date, _dt.datetime)
     ):
         return series, pd.Timestamp(value)
+    if isinstance(value, str) and _holds_dates(series):
+        raise NotImplementedError("a DATE compared with a string")
     return series, value
+
+
+def _holds_dates(series) -> bool:
+    if not isinstance(series, pd.Series) or series.dtype != object:
+        return False
+    first = series.first_valid_index()
+    return first is not None and isinstance(series[first], _dt.date)
 
 
 @dataclass(frozen=True, eq=True, repr=True)
@@ -342,6 +360,8 @@ class InList(Expr):
         vals = self.values
         if isinstance(s, pd.Series) and pd.api.types.is_datetime64_any_dtype(s):
             vals = tuple(pd.Timestamp(v) for v in vals)
+        elif any(isinstance(v, str) for v in vals) and _holds_dates(s):
+            raise NotImplementedError("a DATE compared with a string")
         return s.isin(vals)
 
 
@@ -455,6 +475,106 @@ class AggCall:
 
     def columns(self) -> set[str]:
         return set().union(*(e.columns() for e in self.exprs()))
+
+
+# -- pandas evaluation with SQL's NULL semantics ---------------------------
+
+# what evaluate_vector raises for a form only the engine evaluates: an
+# unsupported function, incomparable values, a column the frame lacks
+UNEVALUABLE = (NotImplementedError, TypeError, ValueError, KeyError)
+
+
+def holds(cond: Expr, pdf: pd.DataFrame) -> np.ndarray:
+    """The rows of ``pdf`` for which ``cond`` is TRUE, as a boolean array:
+    what a WHERE or a FILTER clause keeps. NULL is neither true nor false,
+    so ``NOT (a > 1)`` and ``a != 1`` drop a row whose ``a`` is NULL, where
+    ``evaluate_vector`` alone would keep it. A NULL literal is left to the
+    engine."""
+    return _is(cond, pdf, True)
+
+
+def _is(e: Expr, pdf: pd.DataFrame, want: bool) -> np.ndarray:
+    """The rows where predicate ``e`` is ``want`` (TRUE or FALSE, not NULL)."""
+    if isinstance(e, (And, Or)):
+        # an AND is TRUE, and an OR FALSE, when every argument is
+        every = isinstance(e, And) == want
+        return _fold(_op.and_ if every else _op.or_, [_is(a, pdf, want) for a in e.args])
+    if isinstance(e, Not):
+        return _is(e.arg, pdf, not want)
+    if isinstance(e, IsNull):
+        null = _broadcast(e.evaluate_vector(pdf), pdf).to_numpy(dtype=bool)
+        return null if want else ~null
+    if any(isinstance(n, Lit) and n.value is None for n in e.walk()) or (
+        isinstance(e, InList) and None in e.values
+    ):
+        raise NotImplementedError("a NULL literal")
+    # a comparison, IN list or boolean column: NULL where an input is NULL
+    value = _broadcast(e.evaluate_vector(pdf), pdf)
+    if value.dtype != bool:
+        value = value.fillna(False)
+    value = value.to_numpy(dtype=bool)
+    if not want:
+        value = ~value
+    return _fold(_op.and_, [value] + [pdf[c].notna().to_numpy() for c in sorted(e.columns())])
+
+
+def _fold(op, masks: list[np.ndarray]) -> np.ndarray:
+    out = masks[0]
+    for m in masks[1:]:
+        out = op(out, m)
+    return out
+
+
+def _broadcast(value, pdf: pd.DataFrame) -> pd.Series:
+    """``value`` as a series over ``pdf``'s rows (a literal repeats)."""
+    if isinstance(value, pd.Series):
+        return value
+    return pd.Series(value, index=pdf.index)
+
+
+# pandas reduction per aggregate function; counts come from ``count``
+_REDUCE = {"sum": "sum", "min": "min", "max": "max", "avg": "mean"}
+
+
+def aggregate(pdf: pd.DataFrame, keys: Sequence[str], aggs: Sequence[AggCall]) -> pd.DataFrame:
+    """SQL aggregation of ``pdf``: the key columns, then one column per
+    call. Each call sees only the rows its ``FILTER`` holds for. NULL keys
+    form one group; without keys there is one row even over no rows. SUM,
+    MIN, MAX and AVG over no non-NULL input are NULL, COUNT is 0. Raises
+    one of :data:`UNEVALUABLE` for a form only the engine evaluates."""
+    masks: dict = {}  # one evaluation per distinct FILTER
+    inputs = {}
+    for a in aggs:
+        if a.func == "count_star":
+            v = pd.Series(1, index=pdf.index)
+        else:
+            v = _broadcast(a.arg.evaluate_vector(pdf), pdf)
+            if pd.api.types.is_integer_dtype(v):
+                v = v.astype("Int64")  # exact sums; a NULL keeps it integer
+            elif a.func in ("min", "max") and pd.api.types.infer_dtype(v) == "string":
+                v = v.astype("string")  # objects with NULLs do not compare
+        if a.filter is not None:
+            if a.filter not in masks:
+                masks[a.filter] = holds(a.filter, pdf)
+            v = v.where(masks[a.filter])
+        inputs[a.name] = v
+    frame = pd.DataFrame(inputs, index=pdf.index)
+    if keys:
+        src = frame.groupby([pdf[k] for k in keys], dropna=False, sort=False)
+    else:
+        src = frame
+    counts = src.count()  # non-NULL inputs per call (and group)
+    out = {}
+    for a in aggs:
+        n = counts[a.name]
+        if a.func in ("count", "count_star"):
+            out[a.name] = n
+            continue
+        value = getattr(src[a.name], _REDUCE[a.func])()
+        out[a.name] = value.where(n > 0) if keys else (value if n > 0 else None)
+    if keys:
+        return pd.DataFrame(out, index=counts.index).reset_index()
+    return pd.DataFrame({name: [v] for name, v in out.items()})
 
 
 # -- convenience ----------------------------------------------------------

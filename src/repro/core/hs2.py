@@ -23,7 +23,10 @@ probe and fill and MV freshness all use the WriteId lists derived from it.
 What one query sets up while it runs (that snapshot, runtime filters, the
 container allocation, persisted shared subtrees) lives in a per-query
 :class:`_HS2ExecutionContext`, never on the server, so concurrent queries
-cannot see each other's state. The ``EngineConfig`` switches let the same
+cannot see each other's state. With LLAP, an aggregate over a filtered
+scan of a native table runs inside the daemon as one fragment (§5.1), so
+Spark receives groups rather than the scan's rows; every other operator
+runs in Spark. The ``EngineConfig`` switches let the same
 driver impersonate Hive v1.2, v3.1-on-containers, and v3.1+LLAP for the §7
 experiments. Call :meth:`HiveServer2.close` (or use the server as a
 context manager) to stop the LLAP daemon's executors.
@@ -38,14 +41,15 @@ from typing import Iterator
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql.types import StructType
 
 from repro.core.cache import QueryResultCache
-from repro.core.compile import compile_plan
-from repro.core.expr import Expr
+from repro.core.compile import compile_plan, spark_aggregate
+from repro.core.expr import UNEVALUABLE, Expr, aggregate, holds
 from repro.core.features import EngineConfig
 from repro.core.mv import choose_rewrite, merge_aggregate_states, normalize_spja
 from repro.core.optimizer import Optimizer, OptimizerContext, default_stages, v12_stages
-from repro.core.plan import Filter, ForeignQuery, Plan, Scan, Unpivot
+from repro.core.plan import Aggregate, Filter, ForeignQuery, Plan, Scan, Unpivot
 from repro.core.reopt import ExecutionError
 from repro.core.rules import prune_partitions
 from repro.core.semijoin import ReductionReport, RuntimeFilter, apply_reduction
@@ -91,6 +95,8 @@ class ExecutionReport:
     semijoin: ReductionReport | None = None
     attempts: int = 1
     final_plan: Plan | None = None
+    # Aggregate nodes the LLAP daemon ran with their scans (§5.1)
+    daemon_aggregates: int = 0
 
 
 class _HS2ExecutionContext:
@@ -107,7 +113,10 @@ class _HS2ExecutionContext:
     paid container allocation, and the shared subtrees it persisted
     (§4.5), which :meth:`run` releases once the result is collected. Scans
     route to a storage handler, the LLAP daemon, or the ACID snapshot
-    reader (container mode).
+    reader (container mode). On LLAP the daemon runs whole fragments
+    (§5.1): a semijoin's dimension side and an aggregate over a filtered
+    scan, which hand back values and groups instead of rows;
+    :attr:`daemon_aggregates` counts the latter.
     """
 
     def __init__(
@@ -126,6 +135,8 @@ class _HS2ExecutionContext:
         # fingerprints of the subtrees computed once (shared work)
         self.shared: set[str] = set()
         self._container_started = False
+        # aggregates run as one daemon fragment (aggregate_in_daemon)
+        self.daemon_aggregates = 0
         # per-scan runtime-filter sets (semijoin), id → {col: filter}
         self._bloom_registry: dict[int, dict[str, RuntimeFilter]] = {}
         # persisted shared subtrees, fingerprint → DataFrame
@@ -182,41 +193,70 @@ class _HS2ExecutionContext:
                 df.unpersist(blocking=True)
             self._persisted.clear()
 
-    def collect_values(self, plan, column: str) -> list | None:
-        """Semijoin fast path: evaluate a small Scan/Filter-chain dimension
-        subexpression daemon-side (vectorized pandas) instead of launching
-        an engine job. Returns None when the shape or mode doesn't fit —
-        the reducer then falls back to compiling the subplan."""
+    def _daemon_rows(self, plan: Plan, needed: set[str]) -> pd.DataFrame | None:
+        """Run a ``Filter``* → ``Scan`` chain over a native table in the LLAP
+        daemon (§5.1). The scan reads the table's columns in ``needed`` and
+        the filters' through the elevator, with its pushed filters and
+        runtime Blooms; each ``Filter`` then keeps the rows its condition
+        holds for. None when the arm or the shape does not fit, or when a
+        condition takes a form only the engine evaluates: the caller then
+        compiles the plan for Spark."""
         s = self.server
         if not (s.config.llap and s.daemon is not None):
             return None
         conds = []
-        node = plan
-        while isinstance(node, Filter):
-            conds.append(node.cond)
-            node = node.child
-        if not isinstance(node, Scan):
+        while isinstance(plan, Filter):
+            conds.append(plan.cond)
+            plan = plan.child
+        if not isinstance(plan, Scan):
             return None
-        table = s.hms.get_table(node.table)
+        table = s.hms.get_table(plan.table)
         if table.storage_handler in s.handlers:
             return None
-        needed = {column} | {c for cond in conds for c in cond.columns()}
-        cols = [c for c in table.column_names() if c in needed]
+        needed = needed.union(*(cond.columns() for cond in conds))
+        names = table.column_names()
         pdf = s.daemon.scan_table(
-            node.table,
-            self.wids(node.table),
-            partitions=list(node.partitions) if node.partitions is not None else None,
-            columns=cols,
-            since=self.since.get(node.table),
+            plan.table,
+            self.wids(plan.table),
+            partitions=list(plan.partitions) if plan.partitions is not None else None,
+            columns=[c for c in names if c in needed] or names[:1],
+            pushed_filters=list(plan.pushed_filters) or None,
+            runtime_blooms=self._bloom_registry.get(plan.runtime_filter_id),
+            since=self.since.get(plan.table),
         )
         try:
             for cond in conds:
-                if pdf.empty:
-                    break
-                pdf = pdf[cond.evaluate_vector(pdf).astype(bool)]
-        except (ValueError, NotImplementedError):
-            return None  # a form only the engine evaluates → engine fallback
-        return pdf[column].dropna().unique().tolist()
+                pdf = pdf[holds(cond, pdf)]
+        except UNEVALUABLE:
+            return None
+        return pdf
+
+    def collect_values(self, plan: Plan, column: str) -> list | None:
+        """Semijoin fast path: the distinct non-NULL values of ``column`` in
+        a Scan/Filter-chain dimension subexpression, evaluated daemon-side
+        instead of by an engine job. None when :meth:`_daemon_rows` cannot
+        run it: the reducer then compiles the subplan."""
+        pdf = self._daemon_rows(plan, {column})
+        return None if pdf is None else pdf[column].dropna().unique().tolist()
+
+    def aggregate_in_daemon(self, agg: Aggregate) -> DataFrame | None:
+        """An ``Aggregate`` over a Filter/Scan chain, run as one LLAP
+        fragment: the daemon scans, filters and aggregates (map-side
+        group-by, §5.1), and Spark gets only the groups, typed as Spark's
+        analyzer types the same aggregate over the scan's columns (analysis
+        only, no job). None when the daemon cannot run it."""
+        needed = set(agg.keys).union(*(a.columns() for a in agg.aggs))
+        pdf = self._daemon_rows(agg.child, needed)
+        if pdf is None:
+            return None
+        try:
+            out = aggregate(pdf, agg.keys, agg.aggs)
+        except UNEVALUABLE:
+            return None
+        table = self.server.hms.get_table(agg.child.tables().pop())
+        empty = self.server.spark.createDataFrame([], spark_schema(table, list(pdf.columns)))
+        self.daemon_aggregates += 1
+        return self._to_spark(out, spark_aggregate(empty, agg).schema)
 
     def resolve_scan(self, scan: Scan) -> DataFrame:
         s = self.server
@@ -226,23 +266,9 @@ class _HS2ExecutionContext:
             pdf = s.handlers[table.storage_handler].input_format(table)
             return self._from_handler(pdf, table, cols)
 
-        partitions = list(scan.partitions) if scan.partitions is not None else None
-        wids, since = self.wids(scan.table), self.since.get(scan.table)
-
-        if s.config.llap and s.daemon is not None:
-            pdf = s.daemon.scan_table(
-                scan.table,
-                wids,
-                partitions=partitions,
-                columns=cols,
-                pushed_filters=list(scan.pushed_filters) or None,
-                runtime_blooms=self._bloom_registry.get(scan.runtime_filter_id),
-                since=since,
-            )
-            schema = spark_schema(table, cols)
-            if pdf.empty:
-                return s.spark.createDataFrame([], schema)
-            return s.spark.createDataFrame(pdf, schema)
+        pdf = self._daemon_rows(scan, set(cols))
+        if pdf is not None:
+            return self._to_spark(pdf[cols], spark_schema(table, cols))
 
         # container mode: pay YARN allocation once per query, no caches
         if not self._container_started:
@@ -250,7 +276,11 @@ class _HS2ExecutionContext:
             if s.config.container_startup_s > 0:
                 time.sleep(s.config.container_startup_s)
         df = s.reader.scan(
-            scan.table, wids, partitions=partitions, columns=cols, since=since
+            scan.table,
+            self.wids(scan.table),
+            partitions=list(scan.partitions) if scan.partitions is not None else None,
+            columns=cols,
+            since=self.since.get(scan.table),
         )
         # pushed filters are conservative — applying them is always sound
         for p in scan.pushed_filters:
@@ -266,10 +296,14 @@ class _HS2ExecutionContext:
         """A storage handler's answer with columns ``cols``, in that order.
         An empty answer may lack the columns and always lacks their types,
         so it is typed from the table instead."""
-        spark = self.server.spark
         if pdf.empty:
-            return spark.createDataFrame([], spark_schema(table, cols))
-        return spark.createDataFrame(pdf[cols])
+            return self._to_spark(pdf, spark_schema(table, cols))
+        return self.server.spark.createDataFrame(pdf[cols])
+
+    def _to_spark(self, pdf: pd.DataFrame, schema: StructType) -> DataFrame:
+        """``pdf`` handed to Spark as ``schema`` (an empty frame's pandas
+        types say nothing, so it becomes an empty relation)."""
+        return self.server.spark.createDataFrame([] if pdf.empty else pdf, schema)
 
 
 class HiveServer2:
@@ -539,6 +573,7 @@ class HiveServer2:
             semijoin=ctx.semijoin,
             attempts=attempt,
             final_plan=prepared,
+            daemon_aggregates=ctx.daemon_aggregates,
         )
 
     def execute(self, query: QuerySpec | Plan) -> ExecutionReport:

@@ -37,7 +37,17 @@ from typing import Callable
 
 import pandas as pd
 
-from repro.core.expr import AggCall, BinOp, Col, Expr, InList, Lit, Or, is_column_equality
+from repro.core.expr import (
+    AggCall,
+    BinOp,
+    Col,
+    Expr,
+    InList,
+    Lit,
+    Or,
+    aggregate,
+    is_column_equality,
+)
 from repro.core.joinreorder import flatten_join_tree
 from repro.core.plan import (
     Aggregate,
@@ -541,9 +551,7 @@ def merge_aggregate_states(
 ) -> pd.DataFrame:
     """MERGE step of an SPJA incremental rebuild (§4.4): combine the
     existing MV contents with the delta computed over newly inserted rows.
-    Valid for insert-only deltas: sum/count add, min/max take extrema."""
+    Valid for insert-only deltas: sum/count add, min/max take extrema,
+    with SQL's NULLs (a NULL key is a group; a SUM of NULLs stays NULL)."""
     combined = pd.concat([old, delta], ignore_index=True)
-    spec = {a.name: _REAGG[a.func] for a in aggs}
-    if not keys:
-        return combined.agg(spec).to_frame().T.reset_index(drop=True)
-    return combined.groupby(list(keys), as_index=False).agg(spec)
+    return aggregate(combined, keys, [AggCall(_REAGG[a.func], Col(a.name), a.name) for a in aggs])

@@ -6,12 +6,16 @@ Daemons are stateless with respect to data: everything they hold is a
 cache over the ACID files, so any daemon could serve any fragment after a
 failure.
 
-``scan_table`` is the LLAP fast path used by the HS2 execution context: it
+``scan_table`` is the LLAP scan used by the HS2 execution context: it
 resolves the snapshot's visible files exactly like the container-mode
-reader, but reads them through the elevator (row-group skipping + cache)
-and merges them in pandas (:func:`~repro.storage.layout.visible_rows`) —
-small delete deltas are merged in memory, the paper's observation about
-the anti-join side staying tiny.
+reader, but reads them through the elevator (row-group skipping, row
+filters, cache) and merges them in pandas
+(:func:`~repro.storage.layout.visible_rows`) — small delete deltas are
+merged in memory, the paper's observation about the anti-join side staying
+tiny. When a query's aggregate sits on a filtered scan, the execution
+context runs the whole fragment here — scan, filters and the map-side
+group-by (:func:`~repro.core.expr.aggregate`) — and hands Spark only the
+groups.
 
 Container-vs-LLAP modelling: a daemon is always warm. Container mode pays
 ``container_startup_s`` per query for YARN container allocation (slept in

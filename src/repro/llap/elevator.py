@@ -3,18 +3,24 @@
 The elevator accepts projections, sargable predicates, and Bloom filters
 from the scan operator, consults the (cached) row-group metadata to decide
 which row groups must be read, then assembles the selected chunks — from
-cache when possible, repopulating on miss — into a pandas batch ready for
-vectorized processing. Metadata is evaluated *before* data loads, so chunks
-that a predicate excludes are never pulled in.
+cache when possible, reading only the selected row groups of the file on a
+miss — into a pandas batch ready for vectorized processing. Metadata is
+evaluated *before* data loads, so chunks that a predicate excludes are
+never pulled in.
 
 Pushdown semantics:
 
 * min/max range checks skip whole row groups (ORC-index equivalent);
 * per-row-group Bloom filters (for configured columns) skip groups for
   equality/IN predicates;
-* runtime semijoin Blooms (§4.6) additionally filter *rows* after load —
-  they come from the dimension side, so their values cannot be compared to
-  a row group without reading it.
+* runtime semijoin Blooms (§4.6) filter *rows* after load — they come from
+  the dimension side, so their values cannot be compared to a row group
+  without reading it;
+* then the pushed predicates filter rows too, so what leaves the elevator
+  is only what the scan's conjuncts keep. A predicate pandas cannot
+  evaluate, or on a column not read, is left to the plan's ``Filter``.
+  The Blooms run first: a semijoin's range conjunct is implied by its
+  Bloom's value set, so the rows both remove count as the Bloom's.
 """
 from __future__ import annotations
 
@@ -24,9 +30,11 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+import numpy as np
 import pandas as pd
+import pyarrow.parquet as pq
 
-from repro.core.expr import BinOp, Col, Expr, InList, Lit
+from repro.core.expr import UNEVALUABLE, BinOp, Col, Expr, InList, Lit, holds
 from repro.llap.cache import ChunkKey, LlapCache
 from repro.storage.layout import RowGroupMeta
 
@@ -43,6 +51,7 @@ class ElevatorStats:
     row_groups_skipped_minmax: int = 0
     row_groups_skipped_bloom: int = 0
     rows_filtered_by_runtime_bloom: int = 0
+    rows_filtered_pushed: int = 0
 
     def add(self, other: "ElevatorStats") -> None:
         for f in fields(self):
@@ -120,8 +129,9 @@ class IOElevator:
     ) -> pd.DataFrame | None:
         """Read one data file through metadata pushdown + the chunk cache.
 
-        Returns the concatenated surviving row groups (projected), or None
-        when every row group was skipped.
+        Returns the rows of the surviving row groups (projected) that the
+        runtime Blooms and then the pushed filters keep, or None when every
+        row group was skipped.
         """
         f = str(file)
         preds = list(pushed_filters or [])
@@ -129,51 +139,76 @@ class IOElevator:
         try:
             meta = self.cache.get_meta(f)
             stats.row_groups_total += len(meta.row_groups)
-            selected = [g for g in meta.row_groups if _group_survives(g, preds, stats)]
+            selected = [
+                (i, g) for i, g in enumerate(meta.row_groups)
+                if _group_survives(g, preds, stats)
+            ]
             if not selected:
                 return None
             stats.row_groups_read += len(selected)
 
-            # figure out which chunks are missing, load the file once if any
-            missing: list[tuple[RowGroupMeta, str]] = []
+            # find the missing chunks, then read only the row groups and
+            # columns that hold them
             have: dict[tuple[int, str], pd.Series] = {}
-            for g in selected:
+            missing_groups: dict[int, RowGroupMeta] = {}
+            missing_cols: dict[str, None] = {}
+            for i, g in selected:
                 for c in columns:
-                    key = ChunkKey(f, g.start, c)
-                    s = self.cache.get_chunk(key)
+                    s = self.cache.get_chunk(ChunkKey(f, g.start, c))
                     if s is None:
-                        missing.append((g, c))
+                        missing_groups[i] = g
+                        missing_cols[c] = None
                     else:
                         have[(g.start, c)] = s
-            if missing:
-                full = pd.read_parquet(f, columns=columns)
-                for g, c in missing:
-                    s = full[c].iloc[g.start : g.start + g.n_rows].reset_index(drop=True)
-                    self.cache.put_chunk(ChunkKey(f, g.start, c), s)
-                    have[(g.start, c)] = s
+            if missing_groups:
+                part = pq.ParquetFile(f).read_row_groups(
+                    list(missing_groups), columns=list(missing_cols)
+                ).to_pandas()
+                offset = 0
+                for g in missing_groups.values():
+                    for c in missing_cols:
+                        if (g.start, c) not in have:
+                            s = part[c].iloc[offset : offset + g.n_rows].reset_index(drop=True)
+                            self.cache.put_chunk(ChunkKey(f, g.start, c), s)
+                            have[(g.start, c)] = s
+                    offset += g.n_rows
 
-            frames = []
-            for g in selected:
-                frames.append(
-                    pd.DataFrame({c: have[(g.start, c)] for c in columns})
-                )
-            pdf = pd.concat(frames, ignore_index=True)
-            return self._apply_runtime_blooms(pdf, runtime_blooms, stats)
+            pdf = pd.concat(
+                [pd.DataFrame({c: have[(g.start, c)] for c in columns}) for _, g in selected],
+                ignore_index=True,
+            )
+            return _filter_rows(pdf, runtime_blooms or {}, preds, stats)
         finally:
             with self._stats_lock:
                 self.stats.add(stats)
 
-    def _apply_runtime_blooms(
-        self, pdf: pd.DataFrame, blooms: dict[str, RuntimeFilter] | None, stats: ElevatorStats
-    ) -> pd.DataFrame:
-        """Row-level semijoin filters: each tests exact membership, or
-        probes its Bloom filter row by row when it carries no value set."""
-        if not blooms or pdf is None or pdf.empty:
-            return pdf
-        for colname, flt in blooms.items():
-            if colname not in pdf.columns:
-                continue
+
+def _filter_rows(
+    pdf: pd.DataFrame, blooms: dict[str, RuntimeFilter], preds: list[Expr], stats: ElevatorStats
+) -> pd.DataFrame:
+    """Row filters, in order: the runtime semijoin Blooms (each tests exact
+    membership, or probes its Bloom filter row by row when it carries no
+    value set), then the pushed predicates. Each counts the rows it removes
+    of those the filters before it kept. A filter on a column not read, or
+    a predicate pandas cannot evaluate, keeps every row."""
+    keep = None
+
+    def add(mask: np.ndarray) -> int:
+        nonlocal keep
+        removed = ~mask if keep is None else keep & ~mask
+        keep = mask if keep is None else keep & mask
+        return int(np.count_nonzero(removed))
+
+    for colname, flt in blooms.items():
+        if colname in pdf.columns:
             mask = flt.apply(pdf[colname])
-            stats.rows_filtered_by_runtime_bloom += int((~mask).sum())
-            pdf = pdf[mask]
-        return pdf.reset_index(drop=True)
+            stats.rows_filtered_by_runtime_bloom += add(np.asarray(mask, dtype=bool))
+    for p in preds:
+        if not p.columns() <= set(pdf.columns):
+            continue
+        try:
+            mask = holds(p, pdf)
+        except UNEVALUABLE:
+            continue
+        stats.rows_filtered_pushed += add(mask)
+    return pdf if keep is None else pdf[keep].reset_index(drop=True)

@@ -15,8 +15,10 @@ from repro.core.expr import (
     Lit,
     Not,
     Or,
+    aggregate,
     between,
     col,
+    holds,
     lit,
 )
 
@@ -135,6 +137,79 @@ class TestVectorEval:
     def test_arithmetic(self):
         s = col("a").mul(2).evaluate_vector(self._pdf())
         assert s.tolist()[:3] == [2, 4, 6]
+
+
+class TestHolds:
+    """What a WHERE clause keeps under SQL's three-valued logic."""
+
+    PDF = pd.DataFrame({"a": [1.0, 2.0, None], "s": ["x", None, "y"]})
+
+    @pytest.mark.parametrize(
+        "cond, kept",
+        [
+            (col("a").gt(1), [False, True, False]),
+            (Not(col("a").gt(1)), [True, False, False]),
+            (col("a").ne(1), [False, True, False]),
+            (Not(col("s").isin("x")), [False, False, True]),
+            (Or(IsNull(col("a")), col("s").eq("x")), [True, False, True]),
+            (Not(And(col("a").gt(1), col("s").eq("y"))), [True, False, False]),
+            (Not(Or(col("a").gt(1), col("s").eq("y"))), [True, False, False]),
+            (IsNull(col("s"), negated=True), [True, False, True]),
+        ],
+    )
+    def test_null_is_neither_true_nor_false(self, cond, kept):
+        assert holds(cond, self.PDF).tolist() == kept
+
+    def test_date_against_string_is_left_to_the_engine(self):
+        """The engine casts the string to a DATE; pandas would compare a
+        ``datetime.date`` with a ``str`` and find nothing equal."""
+        pdf = pd.DataFrame({"d": [dt.date(2020, 1, 1), None]})
+        for cond in (col("d").eq("2020-01-01"), col("d").isin("2020-01-01")):
+            with pytest.raises(NotImplementedError):
+                holds(cond, pdf)
+        assert holds(col("d").eq(dt.date(2020, 1, 1)), pdf).tolist() == [True, False]
+
+    def test_null_literal_is_left_to_the_engine(self):
+        with pytest.raises(NotImplementedError):
+            holds(col("a").eq(None), self.PDF)
+
+
+class TestAggregate:
+    """GROUP BY in pandas with SQL's NULL semantics."""
+
+    PDF = pd.DataFrame({"k": ["a", None, "a", None], "v": [1, 2, None, None]})
+    AGGS = (
+        AggCall("sum", col("v"), "s"),
+        AggCall("count", col("v"), "c"),
+        AggCall("count_star", None, "n"),
+        AggCall("min", col("v"), "lo", filter=col("v").gt(1)),
+    )
+
+    def test_null_keys_form_one_group(self):
+        out = aggregate(self.PDF, ("k",), self.AGGS).set_index("k")
+        assert len(out) == 2
+        a = out.loc["a"]
+        assert (a["s"], a["c"], a["n"]) == (1, 1, 2) and pd.isna(a["lo"])
+        null = out[out.index.isna()].iloc[0]
+        assert (null["s"], null["c"], null["n"], null["lo"]) == (2, 1, 2, 2)
+
+    def test_sum_of_nulls_is_null_and_count_zero(self):
+        out = aggregate(self.PDF[self.PDF["k"].isna()].iloc[1:], ("k",), self.AGGS).iloc[0]
+        assert pd.isna(out["s"]) and out["c"] == 0 and out["n"] == 1 and pd.isna(out["lo"])
+
+    def test_global_over_no_rows_is_one_row(self):
+        out = aggregate(self.PDF[:0], (), self.AGGS)
+        assert len(out) == 1
+        assert out["c"].tolist() == [0] and out["n"].tolist() == [0]
+        assert out[["s", "lo"]].isna().all(axis=None)
+
+    def test_grouped_over_no_rows_is_empty(self):
+        assert aggregate(self.PDF[:0], ("k",), self.AGGS).empty
+
+    def test_integer_sums_stay_exact(self):
+        big = 2**53 + 1
+        out = aggregate(pd.DataFrame({"v": [big, 0]}), (), (AggCall("sum", col("v"), "s"),))
+        assert int(out["s"].iloc[0]) == big
 
 
 class TestSparkBackend:

@@ -731,21 +731,22 @@ class TestStatementSnapshot:
         hs2 = v31_server
         q = two_counts()
         before = oracle_tables(hs2)
-        resolve_scan = _HS2ExecutionContext.resolve_scan
+        # every scan, in either arm, resolves its snapshot's files here
+        visible_files = AcidReader.visible_files
         scans = []
 
-        def committing_resolve_scan(ctx, scan):
-            df = resolve_scan(ctx, scan)
-            scans.append(scan.table)
+        def committing_visible_files(reader, table, *args, **kwargs):
+            files = visible_files(reader, table, *args, **kwargs)
+            scans.append(table)
             if len(scans) == 1:
                 txn = open_insert(
                     hs2, "item", pd.DataFrame({"i_item_sk": [50], "i_cat": ["Sports"]})
                 )
                 hs2.writer.insert(txn, "sales", sports_sale(5.0))
                 hs2.hms.txns.commit(txn)
-            return df
+            return files
 
-        monkeypatch.setattr(_HS2ExecutionContext, "resolve_scan", committing_resolve_scan)
+        monkeypatch.setattr(AcidReader, "visible_files", committing_visible_files)
         r = hs2.execute(q)
         assert sorted(scans) == ["item", "sales"]
         assert_equivalent(hs2.spark.createDataFrame(r.result), q.plan.to_sql(), **before)
@@ -758,12 +759,13 @@ class TestStatementSnapshot:
         a = hs2.hms.txns.open_txn()
         q = two_counts()
         before = oracle_tables(hs2)
-        resolve_scan = _HS2ExecutionContext.resolve_scan
+        # every scan, in either arm, resolves its snapshot's files here
+        visible_files = AcidReader.visible_files
         scans = []
 
-        def committing_resolve_scan(ctx, scan):
-            df = resolve_scan(ctx, scan)
-            scans.append(scan.table)
+        def committing_visible_files(reader, table, *args, **kwargs):
+            files = visible_files(reader, table, *args, **kwargs)
+            scans.append(table)
             if len(scans) == 1:
                 b = open_insert(
                     hs2, "item", pd.DataFrame({"i_item_sk": [50], "i_cat": ["Sports"]})
@@ -772,9 +774,9 @@ class TestStatementSnapshot:
                 hs2.hms.txns.commit(b)
                 hs2.writer.insert(a, "item", pd.DataFrame({"i_item_sk": [51], "i_cat": ["Sports"]}))
                 hs2.writer.insert(a, "sales", sports_sale(7.0))
-            return df
+            return files
 
-        monkeypatch.setattr(_HS2ExecutionContext, "resolve_scan", committing_resolve_scan)
+        monkeypatch.setattr(AcidReader, "visible_files", committing_visible_files)
         r = hs2.execute(q)
         assert sorted(scans) == ["item", "sales"]
         assert_equivalent(hs2.spark.createDataFrame(r.result), q.plan.to_sql(), **before)

@@ -1,17 +1,24 @@
-"""LLAP substrate (§5.1): LRFU, chunk cache, I/O elevator, daemon scans."""
+"""LLAP substrate (§5.1): LRFU, chunk cache, I/O elevator, daemon scans
+and the scan → filter → aggregate fragments the daemon runs."""
+import datetime as dt
 import sys
 import threading
 from dataclasses import asdict
 
 import pandas as pd
+import pyarrow.parquet as pq
 import pytest
 
 from repro.bloom import BloomFilter
-from repro.core.expr import Col, InList, col
+from repro.core.expr import AggCall, And, Col, Func, InList, IsNull, Not, Or, col
+from repro.core.hs2 import _HS2ExecutionContext
+from repro.core.plan import Aggregate, Filter, Join, Scan
 from repro.core.semijoin import RuntimeFilter
 from repro.llap import ChunkKey, IOElevator, LlapCache, LlapDaemon, LRFUPolicy
+from repro.metastore import Column, Table
+from repro.oracle import assert_equivalent
 from repro.storage.layout import bucket_file, write_data_file
-from tests.conftest import make_acid_env, rows
+from tests.conftest import Warehouse, make_acid_env, rows
 
 
 def bloom_only(column, values) -> RuntimeFilter:
@@ -267,6 +274,51 @@ class TestElevator:
         assert e.read_file(str(f), ["k"], [col("k").gt(9)]) is None
         assert e.stats.row_groups_skipped_minmax == 1
 
+    def test_pushed_filters_filter_rows(self, indexed_file):
+        """Rows of a read row group that a pushed predicate rejects are
+        removed in the elevator and counted."""
+        e = IOElevator(LlapCache())
+        pdf = e.read_file(indexed_file, ["k", "v"], [col("k").ge(850), col("v").lt(460.0)])
+        assert sorted(pdf["k"]) == list(range(850, 920))
+        assert e.stats.row_groups_read == 2
+        assert e.stats.rows_filtered_pushed == 200 - 70
+
+    def test_unevaluable_or_unread_predicate_keeps_rows(self, indexed_file):
+        """A predicate on a column not read, or that pandas cannot evaluate,
+        is left to the plan's Filter."""
+        e = IOElevator(LlapCache())
+        preds = [col("v").ne(10.0), Func("rand").gt(2)]
+        assert len(e.read_file(indexed_file, ["k"], preds)) == 1000
+        assert e.stats.rows_filtered_pushed == 0
+
+    def test_blooms_filter_before_pushed_filters(self, indexed_file):
+        """A row both a runtime Bloom and a pushed range reject counts as
+        the Bloom's: the Bloom's value set implies the range."""
+        e = IOElevator(LlapCache())
+        runtime = {"k": bloom_only("k", [10, 20])}
+        pdf = e.read_file(indexed_file, ["k"], [col("k").ge(10), col("k").le(20)], runtime)
+        assert {10, 20} <= set(pdf["k"]) and set(pdf["k"]) <= set(range(10, 21))
+        assert e.stats.rows_filtered_by_runtime_bloom >= 95
+        assert e.stats.rows_filtered_pushed <= 3  # Bloom false positives only
+
+    def test_miss_reads_only_selected_row_groups(self, indexed_file, monkeypatch):
+        """On a cache miss only the row groups (and columns) whose chunks
+        are missing are read from the file."""
+        read = pq.ParquetFile.read_row_groups
+        calls = []
+
+        def spy(pf, groups, columns=None, **kwargs):
+            calls.append((list(groups), list(columns)))
+            return read(pf, groups, columns=columns, **kwargs)
+
+        monkeypatch.setattr(pq.ParquetFile, "read_row_groups", spy)
+        e = IOElevator(LlapCache())
+        e.read_file(indexed_file, ["k"], [col("k").ge(850)])
+        pdf = e.read_file(indexed_file, ["k", "v"], [col("k").ge(750)])
+        assert calls == [([8, 9], ["k"]), ([7, 8, 9], ["k", "v"])]
+        assert sorted(pdf["k"]) == list(range(750, 1000))
+        assert pdf["v"].tolist() == [k * 0.5 for k in pdf["k"]]
+
 
 # ---------------------------------------------------------------------------
 # Daemon scans over ACID tables
@@ -358,3 +410,160 @@ class TestDaemonScan:
         _, daemon = acid_llap
         futs = [daemon.submit_fragment(lambda x=i: x * 2) for i in range(8)]
         assert sorted(f.result() for f in futs) == [0, 2, 4, 6, 8, 10, 12, 14]
+
+
+# ---------------------------------------------------------------------------
+# Scan → filter → aggregate fragments run by the daemon
+# ---------------------------------------------------------------------------
+
+# NULLs in the key, in integer and double arguments, and in the filters
+FACTS = pd.DataFrame(
+    {
+        "g": ["a", "b", None, "a", "b", None, "a", "c"] * 25,
+        "x": pd.array([1, None, 3, 4, None, 6, 7, 8] * 25, dtype="Int64"),
+        "y": [0.5, 1.5, None, 2.5, 3.5, None, 4.5, 5.5] * 25,
+        "p": [1, 2, 1, 2, 1, 2, 1, 2] * 25,
+    }
+)
+FACT_COLUMNS = [
+    Column("g", "string"), Column("x", "bigint"), Column("y", "double"), Column("p", "bigint")
+]
+# every aggregate function, each also under a FILTER
+EVERY_AGG = tuple(
+    AggCall(func, None if func == "count_star" else col(arg), f"{func}_{arg}{suffix}", flt)
+    for func, arg in [
+        ("sum", "x"), ("sum", "y"), ("count", "x"), ("count_star", "all"),
+        ("min", "x"), ("max", "y"), ("min", "g"), ("avg", "x"), ("avg", "y"),
+    ]
+    for suffix, flt in [("", None), ("_f", Not(col("x").gt(3)))]
+)
+
+
+@pytest.fixture(params=["v3_1", "v3_1_container"])
+def facts(request, spark, tmp_path):
+    """A server in either arm with ``f`` (200 rows, NULLs in every column
+    but ``p``, two row groups per file) and the empty ``e``."""
+    with Warehouse(spark, tmp_path, request.param) as w:
+        w.hs2.writer.row_group_rows = 50
+        for name, pdf in (("f", FACTS), ("e", FACTS[:0])):
+            w.hs2.create_table(Table(name, FACT_COLUMNS, partitioned_by=["p"]))
+            w.hs2.insert(name, pdf)
+        yield w
+
+
+def run_fragment(w, plan, monkeypatch):
+    """Execute ``plan``, check it against DuckDB, and check the arm: the
+    LLAP daemon ran the aggregate and handed Spark at most one row per
+    group, containers ran it in Spark. Returns the report."""
+    handed = []
+    to_spark = _HS2ExecutionContext._to_spark
+
+    def spy(ctx, pdf, schema):
+        handed.append(len(pdf))
+        return to_spark(ctx, pdf, schema)
+
+    monkeypatch.setattr(_HS2ExecutionContext, "_to_spark", spy)
+    r = w.hs2.execute(plan)
+    tables = {t: w.hs2.reader.scan(t).toPandas() for t in ("f", "e")}
+    spark = w.hs2.spark
+    got = (
+        spark.createDataFrame(r.result)
+        if len(r.result)
+        else spark.createDataFrame([], ", ".join(f"{c} string" for c in r.result.columns))
+    )
+    assert_equivalent(got, plan.to_sql(), **tables)
+    if w.hs2.config.llap:
+        assert r.daemon_aggregates == 1
+        assert max(handed) <= max(len(r.result), 1)
+    else:
+        assert r.daemon_aggregates == 0
+    return r
+
+
+class TestDaemonFragment:
+    @pytest.mark.parametrize("keys", [(), ("g",), ("g", "p")], ids=["global", "g", "g_p"])
+    def test_every_aggregate_with_and_without_filter(self, facts, keys, monkeypatch):
+        plan = Aggregate(Filter(Scan("f"), col("p").ge(1)), keys, EVERY_AGG)
+        r = run_fragment(facts, plan, monkeypatch)
+        assert len(r.result) == {(): 1, ("g",): 4, ("g", "p"): 7}[keys]
+
+    def test_three_valued_filters(self, facts, monkeypatch):
+        """NOT, != and OR over NULLs keep only the rows SQL keeps."""
+        cond = Or(Not(col("x").ge(4)), And(col("y").ne(2.5), IsNull(col("g"), negated=True)))
+        plan = Aggregate(Filter(Scan("f"), cond), ("g",), EVERY_AGG[:4])
+        run_fragment(facts, plan, monkeypatch)
+
+    @pytest.mark.parametrize("keys", [(), ("g",)], ids=["global", "grouped"])
+    @pytest.mark.parametrize("table", ["f", "e"])
+    def test_empty_input(self, facts, keys, table, monkeypatch):
+        """A global aggregate over no rows is one row (COUNT 0, the rest
+        NULL); a grouped one is no rows."""
+        plan = Aggregate(Filter(Scan(table), col("x").gt(100)), keys, EVERY_AGG)
+        r = run_fragment(facts, plan, monkeypatch)
+        assert len(r.result) == (0 if keys else 1)
+
+    def test_delete_deltas(self, facts, monkeypatch):
+        facts.hs2.delete_where("f", Or(col("x").eq(4), IsNull(col("g"))))
+        plan = Aggregate(Scan("f"), ("g",), EVERY_AGG)
+        r = run_fragment(facts, plan, monkeypatch)
+        assert len(r.result) == 3
+
+    def test_incremental_rebuild(self, facts, monkeypatch):
+        """An incremental MV rebuild aggregates only the rows its stored
+        list lacks, daemon-side on LLAP."""
+        hs2 = facts.hs2
+        definition = Aggregate(
+            Filter(Scan("f"), col("y").gt(1.0)),
+            ("g",),
+            (AggCall("sum", col("x"), "sx"), AggCall("count_star", None, "n")),
+        )
+        hs2.create_materialized_view("mv", definition)
+        hs2.insert("f", FACTS[:8])
+        ran = []  # (the rebuild's since lists, whether the daemon ran it)
+        in_daemon = _HS2ExecutionContext.aggregate_in_daemon
+
+        def spy(ctx, agg):
+            df = in_daemon(ctx, agg)
+            ran.append((dict(ctx.since), df is not None))
+            return df
+
+        monkeypatch.setattr(_HS2ExecutionContext, "aggregate_in_daemon", spy)
+        assert hs2.rebuild_materialized_view("mv") == "incremental"
+        assert [since.keys() == {"f"} for since, _ in ran] == [True]
+        assert [daemon for _, daemon in ran] == [hs2.config.llap]
+        assert_equivalent(
+            hs2.reader.scan("mv"), definition.to_sql(), f=hs2.reader.scan("f").toPandas()
+        )
+
+    @pytest.mark.parametrize("literal", ["2020-01-03", dt.date(2020, 1, 3)], ids=["string", "date"])
+    def test_date_predicate(self, spark, tmp_path, literal):
+        """A DATE column against a string literal falls back to Spark, which
+        casts the string; against a date literal the daemon runs it."""
+        with Warehouse(spark, tmp_path) as w:
+            days = pd.DataFrame(
+                {"d": [dt.date(2020, 1, i) for i in range(1, 7)], "v": range(6)}
+            )
+            w.hs2.create_table(Table("days", [Column("d", "date"), Column("v", "bigint")]))
+            w.hs2.insert("days", days)
+            plan = Aggregate(
+                Filter(Scan("days"), col("d").ge(literal)), (), (AggCall("sum", col("v"), "s"),)
+            )
+            r = w.hs2.execute(plan)
+            assert r.daemon_aggregates == (0 if isinstance(literal, str) else 1)
+            assert r.result["s"].tolist() == [2 + 3 + 4 + 5]
+            assert_equivalent(spark.createDataFrame(r.result), plan.to_sql(), days=days)
+
+    def test_shared_subtree_stays_in_spark(self, facts, monkeypatch):
+        """An aggregate over a subtree that shared work computes once is
+        not re-read per aggregate by the daemon."""
+        base = Filter(Scan("f"), col("p").eq(1))
+        plan = Join(
+            Aggregate(base, (), (AggCall("count_star", None, "n1"),)),
+            Aggregate(base, (), (AggCall("sum", col("y"), "s2"),)),
+            None,
+            "cross",
+        )
+        r = facts.hs2.execute(plan)
+        assert r.shared_subtrees >= 1 and r.daemon_aggregates == 0
+        tables = {"f": facts.hs2.reader.scan("f").toPandas()}
+        assert_equivalent(facts.hs2.spark.createDataFrame(r.result), plan.to_sql(), **tables)

@@ -450,6 +450,17 @@ class TestIncrementalMerge:
         )
         assert out["mn"].tolist() == [3] and out["mx"].tolist() == [11]
 
+    def test_null_key_and_null_sum_merge(self):
+        """A NULL key is one group, and a SUM over only NULLs stays NULL."""
+        old = pd.DataFrame({"k": [None, 1.0], "s": [None, 2.0], "c": [1, 1]})
+        delta = pd.DataFrame({"k": [None], "s": [None], "c": [2]})
+        out = merge_aggregate_states(
+            old, delta, ["k"], [AggCall("sum", col("x"), "s"), AggCall("count", col("x"), "c")]
+        ).sort_values("k")
+        assert out["k"].tolist()[0] == 1.0 and pd.isna(out["k"].tolist()[1])
+        assert out["s"].tolist()[0] == 2.0 and pd.isna(out["s"].tolist()[1])
+        assert out["c"].tolist() == [1, 3]
+
     def test_global_aggregate_merge(self):
         old = pd.DataFrame({"s": [10.0]})
         delta = pd.DataFrame({"s": [5.0]})

@@ -10,6 +10,7 @@ from repro.core.hs2 import _HS2ExecutionContext
 from repro.core.plan import Aggregate, Filter, Join, Project, Scan, Union, Unpivot
 from repro.core.sharedwork import find_shared_subtrees, merge_union_aggregates
 from repro.oracle import assert_equivalent
+from repro.storage import AcidReader
 from repro.workloads import tpcds_lite
 from tests.conftest import Warehouse
 
@@ -318,12 +319,14 @@ class TestMergeExecution:
         check(server, r, plan)
 
     def test_one_aggregate_feeds_one_generator(self, server):
+        """One aggregate pass: a Spark ``Aggregate``, or in the LLAP arm the
+        fragment the daemon ran, feeds one generator."""
         plan = agg_union([col("h").eq(i) for i in range(4)])
         r = server.execute(plan)
         ctx = _HS2ExecutionContext(server, server.hms.txns.snapshot())
         optimized = compile_plan(r.final_plan, ctx)._jdf.queryExecution().optimizedPlan()
         ops = [line.lstrip(" :+-") for line in optimized.toString().splitlines()]
-        assert sum(op.startswith("Aggregate") for op in ops) == 1
+        assert sum(op.startswith("Aggregate") for op in ops) + ctx.daemon_aggregates == 1
         assert sum(op.startswith("Generate") for op in ops) == 1
         assert not any(op.startswith(("Union", "InMemoryRelation")) for op in ops)
 
@@ -331,19 +334,20 @@ class TestMergeExecution:
         tpcds_lite.load_into(server, sf=0.002)
         q07 = next(q for q in tpcds_lite.queries() if q.name == "q07_q88_shape")
         scans, persisted = [], []
-        resolve_scan = _HS2ExecutionContext.resolve_scan
+        # every scan, in either arm, resolves its snapshot's files here
+        visible_files = AcidReader.visible_files
         frame_class = type(spark.range(1))  # the session's DataFrame class
         persist = frame_class.persist
 
-        def counting_scan(ctx, scan):
-            scans.append(scan.table)
-            return resolve_scan(ctx, scan)
+        def counting_scan(reader, table, *args, **kwargs):
+            scans.append(table)
+            return visible_files(reader, table, *args, **kwargs)
 
         def counting_persist(df, *args, **kwargs):
             persisted.append(df)
             return persist(df, *args, **kwargs)
 
-        monkeypatch.setattr(_HS2ExecutionContext, "resolve_scan", counting_scan)
+        monkeypatch.setattr(AcidReader, "visible_files", counting_scan)
         monkeypatch.setattr(frame_class, "persist", counting_persist)
         rdds = spark.sparkContext._jsc.getPersistentRDDs
         before = rdds().size()
