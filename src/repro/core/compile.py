@@ -5,8 +5,9 @@ queries are delegated to the query's execution context
 (:class:`repro.core.hs2._HS2ExecutionContext`), which reads through the ACID
 snapshot reader (container mode), the LLAP elevator (cached, row-group
 skipping), or a federated system (``ForeignQuery``). An ``Aggregate`` asks
-the context first: on LLAP the daemon runs it with its Filter/Scan input as
-one fragment and the context hands back only the groups. Shared-work reuse
+the context first: on LLAP the daemon runs it with its input as one
+fragment (Filter/Scan chains, possibly map-joined) and the context hands
+back only the groups. Shared-work reuse
 (§4.5) hooks in here: subtrees whose fingerprints are listed in
 ``shared_fingerprints`` are compiled once, persisted, and reused; a caller
 that passes ``_memo`` gets the persisted frames back to unpersist them
@@ -99,8 +100,9 @@ def _compile(plan, ctx, shared, memo) -> DataFrame:
             return left.crossJoin(right)
         return left.join(right, on=plan.cond.to_spark(), how=_JOIN_HOW[plan.how])
     if isinstance(plan, Aggregate):
-        # the LLAP daemon may run a scan → filter → aggregate fragment
-        # itself (§5.1), unless part of it is shared work computed once
+        # the LLAP daemon may run a scan → filter → [map join →] aggregate
+        # fragment itself (§5.1), unless part of it is shared work computed
+        # once
         if not (shared and any(n.fingerprint() in shared for n in plan.child.walk())):
             df = ctx.aggregate_in_daemon(plan)
             if df is not None:

@@ -23,10 +23,12 @@ probe and fill and MV freshness all use the WriteId lists derived from it.
 What one query sets up while it runs (that snapshot, runtime filters, the
 container allocation, persisted shared subtrees) lives in a per-query
 :class:`_HS2ExecutionContext`, never on the server, so concurrent queries
-cannot see each other's state. With LLAP, an aggregate over a filtered
-scan of a native table runs inside the daemon as one fragment (§5.1), so
-Spark receives groups rather than the scan's rows; every other operator
-runs in Spark. The ``EngineConfig`` switches let the same
+cannot see each other's state. With LLAP, an aggregate over filtered
+scans of native tables runs inside the daemon as one fragment (§5.1):
+over one scan, or over an inner equi-join of such scans with a side small
+enough to build (a map join). Spark then receives groups rather than the
+scans' rows; every other operator, and any fragment the daemon cannot
+run, runs in Spark. The ``EngineConfig`` switches let the same
 driver impersonate Hive v1.2, v3.1-on-containers, and v3.1+LLAP for the §7
 experiments. Call :meth:`HiveServer2.close` (or use the server as a
 context manager) to stop the LLAP daemon's executors.
@@ -41,18 +43,33 @@ from typing import Iterator
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql.types import StructType
+from pyspark.sql.types import StructField, StructType
 
 from repro.core.cache import QueryResultCache
 from repro.core.compile import compile_plan, spark_aggregate
-from repro.core.expr import UNEVALUABLE, Expr, aggregate, holds
+from repro.core.cost import CostModel
+from repro.core.expr import UNEVALUABLE, Expr, aggregate, holds, is_column_equality
 from repro.core.features import EngineConfig
 from repro.core.mv import choose_rewrite, merge_aggregate_states, normalize_spja
 from repro.core.optimizer import Optimizer, OptimizerContext, default_stages, v12_stages
-from repro.core.plan import Aggregate, Filter, ForeignQuery, Plan, Scan, Unpivot
+from repro.core.plan import (
+    Aggregate,
+    Filter,
+    ForeignQuery,
+    Join,
+    Plan,
+    Scan,
+    Unpivot,
+    output_columns,
+)
 from repro.core.reopt import ExecutionError
-from repro.core.rules import prune_partitions
-from repro.core.semijoin import ReductionReport, RuntimeFilter, apply_reduction
+from repro.core.rules import conjuncts, prune_partitions
+from repro.core.semijoin import (
+    MAX_BUILD_ROWS,
+    ReductionReport,
+    RuntimeFilter,
+    apply_reduction,
+)
 from repro.core.sharedwork import (
     find_shared_subtrees,
     merge_equivalent_scans,
@@ -114,9 +131,11 @@ class _HS2ExecutionContext:
     (§4.5), which :meth:`run` releases once the result is collected. Scans
     route to a storage handler, the LLAP daemon, or the ACID snapshot
     reader (container mode). On LLAP the daemon runs whole fragments
-    (§5.1): a semijoin's dimension side and an aggregate over a filtered
-    scan, which hand back values and groups instead of rows;
-    :attr:`daemon_aggregates` counts the latter.
+    (§5.1): a semijoin's dimension side, and an aggregate over a filtered
+    scan or over a map join of filtered scans, which hand back values and
+    groups instead of rows; :attr:`daemon_aggregates` counts the latter.
+    ``cost`` (the planner's row estimates) picks which joins the daemon
+    may build.
     """
 
     def __init__(
@@ -130,6 +149,8 @@ class _HS2ExecutionContext:
         self.snapshot = snapshot
         self.lists = dict(lists or {})
         self.since = dict(since or {})
+        # row estimates; prepare() swaps in the planner's, with its overrides
+        self.cost = CostModel(server.hms)
         self.mv_used: str | None = None
         self.semijoin: ReductionReport | None = None
         # fingerprints of the subtrees computed once (shared work)
@@ -165,6 +186,7 @@ class _HS2ExecutionContext:
         s = self.server
         legacy = s.config.legacy
         octx = OptimizerContext.for_metastore(s.hms, overrides)
+        self.cost = octx.cost
         if rewrite and not legacy:
             plan, self.mv_used = choose_rewrite(plan, s.hms, octx.cost, self.wids, now=time.time())
         plan = Optimizer(octx, v12_stages() if legacy else default_stages()).optimize(plan)
@@ -194,13 +216,14 @@ class _HS2ExecutionContext:
             self._persisted.clear()
 
     def _daemon_rows(self, plan: Plan, needed: set[str]) -> pd.DataFrame | None:
-        """Run a ``Filter``* → ``Scan`` chain over a native table in the LLAP
-        daemon (§5.1). The scan reads the table's columns in ``needed`` and
-        the filters' through the elevator, with its pushed filters and
-        runtime Blooms; each ``Filter`` then keeps the rows its condition
-        holds for. None when the arm or the shape does not fit, or when a
-        condition takes a form only the engine evaluates: the caller then
-        compiles the plan for Spark."""
+        """Run a ``Filter``* chain over a ``Scan`` of a native table, or over
+        an inner equi-``Join`` of two such fragments (a map join), in the
+        LLAP daemon (§5.1); the result has the columns in ``needed`` (and
+        the filters' and join keys'). Each scan reads through the elevator
+        with its pushed filters and runtime Blooms; each ``Filter`` then
+        keeps the rows its condition holds for. None when the arm or the
+        shape does not fit, or when a condition takes a form only the
+        engine evaluates: the caller then compiles the plan for Spark."""
         s = self.server
         if not (s.config.llap and s.daemon is not None):
             return None
@@ -208,28 +231,78 @@ class _HS2ExecutionContext:
         while isinstance(plan, Filter):
             conds.append(plan.cond)
             plan = plan.child
-        if not isinstance(plan, Scan):
-            return None
-        table = s.hms.get_table(plan.table)
-        if table.storage_handler in s.handlers:
-            return None
         needed = needed.union(*(cond.columns() for cond in conds))
-        names = table.column_names()
-        pdf = s.daemon.scan_table(
-            plan.table,
-            self.wids(plan.table),
-            partitions=list(plan.partitions) if plan.partitions is not None else None,
-            columns=[c for c in names if c in needed] or names[:1],
-            pushed_filters=list(plan.pushed_filters) or None,
-            runtime_blooms=self._bloom_registry.get(plan.runtime_filter_id),
-            since=self.since.get(plan.table),
-        )
+        if isinstance(plan, Join):
+            pdf = self._daemon_join(plan, needed)
+        elif isinstance(plan, Scan):
+            pdf = self._daemon_scan(plan, needed)
+        else:
+            return None
+        if pdf is None:
+            return None
         try:
             for cond in conds:
                 pdf = pdf[holds(cond, pdf)]
         except UNEVALUABLE:
             return None
         return pdf
+
+    def _daemon_scan(self, scan: Scan, needed: set[str]) -> pd.DataFrame | None:
+        """``scan``'s columns in ``needed`` read through the elevator; None
+        for a table a storage handler serves."""
+        s = self.server
+        table = s.hms.get_table(scan.table)
+        if table.storage_handler in s.handlers:
+            return None
+        names = table.column_names()
+        return s.daemon.scan_table(
+            scan.table,
+            self.wids(scan.table),
+            partitions=list(scan.partitions) if scan.partitions is not None else None,
+            columns=[c for c in names if c in needed] or names[:1],
+            pushed_filters=list(scan.pushed_filters) or None,
+            runtime_blooms=self._bloom_registry.get(scan.runtime_filter_id),
+            since=self.since.get(scan.table),
+        )
+
+    def _daemon_join(self, join: Join, needed: set[str]) -> pd.DataFrame | None:
+        """A map join: both sides run as daemon fragments and are hash-joined
+        in pandas. Only an inner join on column equalities, between sides
+        whose output names differ and one of which is estimated small
+        enough to build (the semijoin reducer's bound); None otherwise."""
+        if join.how != "inner" or join.cond is None:
+            return None
+        hms = self.server.hms
+        left_cols = set(output_columns(join.left, hms))
+        right_cols = set(output_columns(join.right, hms))
+        if left_cols & right_cols:
+            return None
+        left_keys, right_keys = [], []
+        for c in conjuncts(join.cond):
+            if not is_column_equality(c):
+                return None
+            a, b = c.left.name, c.right.name
+            if a in right_cols and b in left_cols:
+                a, b = b, a
+            if not (a in left_cols and b in right_cols):
+                return None
+            left_keys.append(a)
+            right_keys.append(b)
+        if min(self.cost.rows(join.left), self.cost.rows(join.right)) > MAX_BUILD_ROWS:
+            return None
+        left = self._daemon_rows(join.left, (needed & left_cols) | set(left_keys))
+        if left is None:
+            return None
+        right = self._daemon_rows(join.right, (needed & right_cols) | set(right_keys))
+        if right is None:
+            return None
+        # a NULL key joins nothing in SQL; pandas would match NaN to NaN
+        left = left.dropna(subset=left_keys)
+        right = right.dropna(subset=right_keys)
+        try:
+            return left.merge(right, how="inner", left_on=left_keys, right_on=right_keys)
+        except UNEVALUABLE:  # keys pandas cannot compare
+            return None
 
     def collect_values(self, plan: Plan, column: str) -> list | None:
         """Semijoin fast path: the distinct non-NULL values of ``column`` in
@@ -240,11 +313,12 @@ class _HS2ExecutionContext:
         return None if pdf is None else pdf[column].dropna().unique().tolist()
 
     def aggregate_in_daemon(self, agg: Aggregate) -> DataFrame | None:
-        """An ``Aggregate`` over a Filter/Scan chain, run as one LLAP
-        fragment: the daemon scans, filters and aggregates (map-side
+        """An ``Aggregate`` over a fragment :meth:`_daemon_rows` runs (a
+        Filter/Scan chain or a map join of such chains), run as one LLAP
+        fragment: the daemon scans, joins, filters and aggregates (map-side
         group-by, §5.1), and Spark gets only the groups, typed as Spark's
-        analyzer types the same aggregate over the scan's columns (analysis
-        only, no job). None when the daemon cannot run it."""
+        analyzer types the same aggregate over the fragment's columns
+        (analysis only, no job). None when the daemon cannot run it."""
         needed = set(agg.keys).union(*(a.columns() for a in agg.aggs))
         pdf = self._daemon_rows(agg.child, needed)
         if pdf is None:
@@ -253,10 +327,26 @@ class _HS2ExecutionContext:
             out = aggregate(pdf, agg.keys, agg.aggs)
         except UNEVALUABLE:
             return None
-        table = self.server.hms.get_table(agg.child.tables().pop())
-        empty = self.server.spark.createDataFrame([], spark_schema(table, list(pdf.columns)))
+        columns = list(pdf.columns)
+        empty = self.server.spark.createDataFrame([], self._fragment_schema(agg.child, columns))
         self.daemon_aggregates += 1
         return self._to_spark(out, spark_aggregate(empty, agg).schema)
+
+    def _fragment_schema(self, plan: Plan, columns: list[str]) -> StructType:
+        """The Spark types of ``columns`` of a daemon fragment over ``plan``,
+        from the tables its scans read: each column typed by the table of
+        the scan that outputs it, else (a scan that needs no column reads
+        its table's first) by a table that has it."""
+        hms = self.server.hms
+        scans = [n for n in plan.walk() if isinstance(n, Scan)]
+        fields: dict[str, StructField] = {}
+        for outputs_only in (True, False):
+            for scan in scans:
+                table = hms.get_table(scan.table)
+                names = output_columns(scan, hms) if outputs_only else table.column_names()
+                for f in spark_schema(table, [c for c in names if c in columns]).fields:
+                    fields.setdefault(f.name, f)
+        return StructType([fields[c] for c in columns])
 
     def resolve_scan(self, scan: Scan) -> DataFrame:
         s = self.server

@@ -30,7 +30,17 @@ from repro.core.plan import Filter, Join, Plan, Scan, output_columns
 from repro.core.rules import conjuncts
 from repro.storage.layout import partition_values_from_key
 
-__all__ = ["SemijoinOpportunity", "RuntimeFilter", "find_opportunities", "apply_reduction"]
+__all__ = [
+    "MAX_BUILD_ROWS",
+    "SemijoinOpportunity",
+    "RuntimeFilter",
+    "find_opportunities",
+    "apply_reduction",
+]
+
+# the most rows (estimated) a side evaluated eagerly may have: a reducer's
+# dimension side here, the build side of a map join in the LLAP daemon
+MAX_BUILD_ROWS = 50_000
 
 
 @dataclass(frozen=True)
@@ -98,7 +108,9 @@ def _has_filter(plan: Plan) -> bool:
     return any(isinstance(n, Filter) for n in plan.walk())
 
 
-def find_opportunities(plan: Plan, ctx, max_build_rows: float = 50_000) -> list[SemijoinOpportunity]:
+def find_opportunities(
+    plan: Plan, ctx, max_build_rows: float = MAX_BUILD_ROWS
+) -> list[SemijoinOpportunity]:
     """Detect equijoins where one side is a filtered subexpression small
     enough to evaluate eagerly and the other side is a direct table scan."""
     out: list[SemijoinOpportunity] = []
@@ -179,9 +191,8 @@ def apply_reduction(
             vals = query_ctx.collect_values(opp.source_plan, opp.source_column)
             if vals is None:
                 df = compile_plan(opp.source_plan, query_ctx)
-                vals = [
-                    r[0] for r in df.select(opp.source_column).distinct().collect()
-                ]
+                column = df.select(opp.source_column).distinct().dropna()
+                vals = [r[0] for r in column.collect()]
             seen[key] = vals
         values_by_opp[i] = seen[key]
 

@@ -12,10 +12,11 @@ reader, but reads them through the elevator (row-group skipping, row
 filters, cache) and merges them in pandas
 (:func:`~repro.storage.layout.visible_rows`) — small delete deltas are
 merged in memory, the paper's observation about the anti-join side staying
-tiny. When a query's aggregate sits on a filtered scan, the execution
-context runs the whole fragment here — scan, filters and the map-side
-group-by (:func:`~repro.core.expr.aggregate`) — and hands Spark only the
-groups.
+tiny. When a query's aggregate sits on a filtered scan, or on an inner
+equi-join of filtered scans one of which is small (a map join), the
+execution context runs the whole fragment here — scans, filters, the
+pandas hash join and the map-side group-by
+(:func:`~repro.core.expr.aggregate`) — and hands Spark only the groups.
 
 Container-vs-LLAP modelling: a daemon is always warm. Container mode pays
 ``container_startup_s`` per query for YARN container allocation (slept in

@@ -20,7 +20,11 @@ Pushdown semantics:
   is only what the scan's conjuncts keep. A predicate pandas cannot
   evaluate, or on a column not read, is left to the plan's ``Filter``.
   The Blooms run first: a semijoin's range conjunct is implied by its
-  Bloom's value set, so the rows both remove count as the Bloom's.
+  Bloom's value set, so the rows both remove count as the Bloom's. A
+  conjunct that every kept row satisfies is not evaluated, as it would
+  remove nothing: one the value set of an exact runtime filter on its
+  column implies (the semijoin's range), or the min/max of every selected
+  row group (on a column without NULLs there).
 """
 from __future__ import annotations
 
@@ -77,6 +81,50 @@ def _overlaps(mm: tuple, op: str, v) -> bool:
     except TypeError:
         return True
     return True
+
+
+def _implied(
+    p: Expr, groups: list[RowGroupMeta], blooms: dict[str, RuntimeFilter]
+) -> bool:
+    """Does every row the runtime filters keep of ``groups`` satisfy the
+    pushed ``col op lit`` or ``col IN (...)`` conjunct ``p``? It does when
+    the column's values lie in a range that implies ``p``: the value set of
+    an exact runtime filter on it (which runs first), or else each group's
+    footer min/max, where the group has no NULL in the column."""
+    if isinstance(p, BinOp) and isinstance(p.left, Col) and isinstance(p.right, Lit):
+        name, values = p.left.name, (p.right.value,)
+    elif isinstance(p, InList) and isinstance(p.arg, Col):
+        name, values = p.arg.name, p.values
+    else:
+        return False
+    flt = blooms.get(name)
+    if flt is not None and flt.values:
+        return _range_implies(flt.min_value, flt.max_value, p, values)
+    return all(
+        name in g.min_max
+        and g.null_count.get(name) == 0
+        and _range_implies(*g.min_max[name], p, values)
+        for g in groups
+    )
+
+
+def _range_implies(lo, hi, p: Expr, values: tuple) -> bool:
+    """Does every value in ``[lo, hi]`` satisfy ``p`` (over ``values``)?
+    Only for integers, strings and same-typed dates: a float column may
+    hold NaN, which its footer's min/max leave out."""
+    kind = type(lo)
+    if kind is float or not all(type(v) is kind for v in (hi, *values)):
+        return False
+    if isinstance(p, InList):
+        # a range of integers that the list covers, or a single value in it
+        if kind is int and hi - lo < len(values):
+            return set(range(lo, hi + 1)) <= set(values)
+        return lo == hi and lo in values
+    v = values[0]
+    return {
+        "=": lo == hi == v, "!=": v < lo or v > hi,
+        "<": hi < v, "<=": hi <= v, ">": lo > v, ">=": lo >= v,
+    }.get(p.op, False)
 
 
 def _group_survives(
@@ -177,7 +225,11 @@ class IOElevator:
                 [pd.DataFrame({c: have[(g.start, c)] for c in columns}) for _, g in selected],
                 ignore_index=True,
             )
-            return _filter_rows(pdf, runtime_blooms or {}, preds, stats)
+            blooms = runtime_blooms or {}
+            groups = [g for _, g in selected]
+            # a conjunct every kept row satisfies would remove none
+            preds = [p for p in preds if not _implied(p, groups, blooms)]
+            return _filter_rows(pdf, blooms, preds, stats)
         finally:
             with self._stats_lock:
                 self.stats.add(stats)

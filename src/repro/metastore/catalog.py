@@ -86,11 +86,6 @@ class Table:
     def column_names(self) -> list[str]:
         return [c.name for c in self.columns]
 
-    def data_columns(self) -> list[str]:
-        """Columns stored in files (partition columns live in the dir path)."""
-        part = set(self.partitioned_by)
-        return [c.name for c in self.columns if c.name not in part]
-
     def has_constraint(self, kind: str, columns: Iterable[str]) -> bool:
         cols = tuple(columns)
         return any(c.kind == kind and c.columns == cols for c in self.constraints)

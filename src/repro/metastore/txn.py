@@ -245,13 +245,6 @@ class TxnManager:
                       if new.is_valid(w) and not old.is_valid(w)]
             return any(t == table for o in owners for t, _ in self._txns[o].write_set)
 
-    def min_open_txn(self) -> int | None:
-        with self._mutex:
-            open_ids = [
-                t.txn_id for t in self._txns.values() if t.state is TxnState.OPEN
-            ]
-            return min(open_ids) if open_ids else None
-
     def open_write_ids(self, table: str) -> set[int]:
         """WriteIds on ``table`` held by still-open transactions.
 
@@ -264,11 +257,6 @@ class TxnManager:
                 for wid, owner in self._table_write_txn.get(table, {}).items()
                 if self._txns[owner].state is TxnState.OPEN
             }
-
-    def write_id_of(self, txn_id: int, table: str) -> int | None:
-        """The WriteId this txn allocated for ``table``, if any."""
-        with self._mutex:
-            return self._txns[txn_id].write_ids.get(table)
 
     # -- locks ------------------------------------------------------------
 

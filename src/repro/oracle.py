@@ -12,6 +12,7 @@ on both sides (Spark names ``count(*)`` as ``count(1)``, DuckDB as
 columns are not orderable so cannot be compared here.
 """
 import duckdb
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
@@ -20,8 +21,13 @@ def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
     # Canonical column order first, then row order by those columns, so
     # two results that differ only in projection order compare equal.
     pdf = pdf[sorted(pdf.columns)].reset_index(drop=True).copy()
-    for c in pdf.select_dtypes(include=["float", "float64"]).columns:
-        pdf[c] = pdf[c].round(6)
+    for c in pdf.columns:
+        if pd.api.types.is_float_dtype(pdf[c]):
+            pdf[c] = pdf[c].round(6)
+        elif pdf[c].isna().any():
+            # one NULL: None, NaN, NaT and pd.NA all become NaN, which
+            # equals only NaN (a value never equals it)
+            pdf[c] = pdf[c].astype(object).where(pdf[c].notna(), np.nan)
     return pdf.sort_values(list(pdf.columns)).reset_index(drop=True)
 
 

@@ -190,6 +190,7 @@ class RowGroupMeta:
     n_rows: int
     min_max: dict[str, tuple]  # col -> (min, max) from the Parquet footer
     blooms: dict[str, BloomFilter]
+    null_count: dict[str, int]  # col -> NULLs in the group, from the footer
 
 
 @dataclass
@@ -269,8 +270,9 @@ def write_data_file(
 
 
 def read_file_meta(data_file: Path) -> FileMeta:
-    """Row groups of ``data_file``: offsets, row counts and min/max from its
-    Parquet footer, plus the sidecar's Bloom filters where there is one."""
+    """Row groups of ``data_file``: offsets, row counts, min/max and NULL
+    counts from its Parquet footer, plus the sidecar's Bloom filters where
+    there is one."""
     footer = pq.read_metadata(data_file)
     side = _sidecar(data_file)
     n_groups = footer.num_row_groups
@@ -278,18 +280,21 @@ def read_file_meta(data_file: Path) -> FileMeta:
     groups, start = [], 0
     for i in range(n_groups):
         rg = footer.row_group(i)
-        min_max = {}
+        min_max, null_count = {}, {}
         for j in range(rg.num_columns):
             column = rg.column(j)
             st = column.statistics
             if st is not None and st.has_min_max:
                 min_max[column.path_in_schema] = (st.min, st.max)
+            if st is not None and st.has_null_count:
+                null_count[column.path_in_schema] = st.null_count
         groups.append(
             RowGroupMeta(
                 start,
                 rg.num_rows,
                 min_max,
                 {c: BloomFilter.from_b64(b) for c, b in blooms[i].items()},
+                null_count,
             )
         )
         start += rg.num_rows

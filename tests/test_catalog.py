@@ -44,11 +44,6 @@ class TestTables:
         hms.drop_table("t")
         assert not hms.has_table("t")
 
-    def test_data_columns_exclude_partition_cols(self, hms):
-        t = _tbl(partitioned=("p",))
-        assert t.data_columns() == ["k", "v"]
-        assert t.column_names() == ["k", "v", "p"]
-
     def test_constraints(self):
         t = Table(
             "dim",

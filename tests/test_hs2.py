@@ -1033,6 +1033,9 @@ class TestBenchmarkTracing:
         with make_server(spark, tmp_path) as hs2:
             with Tracer(rec):
                 hs2.execute(star_query())
+                # the aggregate runs as one daemon fragment; the bare join
+                # reaches the scans Spark reads
+                hs2.execute(star_query().plan.child)
         assert HiveServer2.__dict__["execute"] is execute
         names = {s.name for s in rec.spans}
         assert {

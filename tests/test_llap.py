@@ -1,5 +1,5 @@
 """LLAP substrate (§5.1): LRFU, chunk cache, I/O elevator, daemon scans
-and the scan → filter → aggregate fragments the daemon runs."""
+and the scan → filter → [map join →] aggregate fragments the daemon runs."""
 import datetime as dt
 import sys
 import threading
@@ -9,15 +9,19 @@ import pandas as pd
 import pyarrow.parquet as pq
 import pytest
 
+import repro.core.hs2 as hs2_module
+import repro.llap.elevator as elevator
 from repro.bloom import BloomFilter
-from repro.core.expr import AggCall, And, Col, Func, InList, IsNull, Not, Or, col
+from repro.core.compile import compile_plan
+from repro.core.expr import AggCall, And, Col, Func, InList, IsNull, Not, Or, col, holds
 from repro.core.hs2 import _HS2ExecutionContext
 from repro.core.plan import Aggregate, Filter, Join, Scan
 from repro.core.semijoin import RuntimeFilter
 from repro.llap import ChunkKey, IOElevator, LlapCache, LlapDaemon, LRFUPolicy
-from repro.metastore import Column, Table
+from repro.metastore import Column, Table, infer_columns
 from repro.oracle import assert_equivalent
 from repro.storage.layout import bucket_file, write_data_file
+from repro.workloads import tpcds_lite
 from tests.conftest import Warehouse, make_acid_env, rows
 
 
@@ -301,6 +305,42 @@ class TestElevator:
         assert e.stats.rows_filtered_by_runtime_bloom >= 95
         assert e.stats.rows_filtered_pushed <= 3  # Bloom false positives only
 
+    def test_conjunct_every_kept_row_satisfies_is_not_evaluated(self, indexed_file, monkeypatch):
+        """A pushed conjunct that the min/max of every selected row group
+        implies, on a column without NULLs there, or that an exact runtime
+        filter's value set implies, would remove no row: the elevator does
+        not evaluate it. One that some group does not imply, or on a float
+        column (whose min/max leave NaN out), is evaluated."""
+        evaluated = []
+        monkeypatch.setattr(
+            elevator, "holds", lambda p, pdf: evaluated.append(p) or holds(p, pdf)
+        )
+        e = IOElevator(LlapCache())
+        implied = [col("k").ge(200), col("k").lt(400), col("k").ne(5000)]
+        preds = implied + [col("k").gt(250), col("v").ge(0.0)]
+        pdf = e.read_file(indexed_file, ["k", "v"], preds)
+        assert sorted(pdf["k"]) == list(range(251, 400))
+        assert evaluated == preds[3:]
+        assert e.stats.rows_filtered_pushed == 51
+        evaluated.clear()
+        in_list = col("k").isin(*range(290, 410))
+        pdf = e.read_file(indexed_file, ["k"], [col("k").ge(300), col("k").lt(400), in_list])
+        assert len(pdf) == 100 and evaluated == []
+        # a semijoin's range over the values its runtime filter keeps
+        keys = [10, 15, 20]
+        runtime = {"k": RuntimeFilter("k", 10, 20, BloomFilter.of(keys), 3, tuple(keys))}
+        pdf = e.read_file(indexed_file, ["k"], [col("k").ge(10), col("k").le(20)], runtime)
+        assert sorted(pdf["k"]) == keys and evaluated == []
+        assert e.stats.rows_filtered_pushed == 51
+
+    def test_conjunct_on_a_column_with_nulls_is_evaluated(self, tmp_path):
+        f = tmp_path / "bucket_00000.parquet"
+        k = pd.array([None, *range(1, 100)], dtype="Int64")
+        write_data_file(f, pd.DataFrame({"k": k}), row_group_rows=50)
+        e = IOElevator(LlapCache())
+        assert len(e.read_file(str(f), ["k"], [col("k").ge(0)])) == 99
+        assert e.stats.rows_filtered_pushed == 1
+
     def test_miss_reads_only_selected_row_groups(self, indexed_file, monkeypatch):
         """On a cache miss only the row groups (and columns) whose chunks
         are missing are read from the file."""
@@ -327,7 +367,7 @@ class TestElevator:
 
 @pytest.fixture
 def acid_llap(spark, tmp_path):
-    from repro.metastore import Column, Table
+    from repro.metastore import Column, Table, infer_columns
 
     env = make_acid_env(spark, tmp_path, row_group_rows=100)
     env.hms.create_table(
@@ -451,10 +491,11 @@ def facts(request, spark, tmp_path):
         yield w
 
 
-def run_fragment(w, plan, monkeypatch):
+def run_fragment(w, plan, monkeypatch, daemon=True):
     """Execute ``plan``, check it against DuckDB, and check the arm: the
     LLAP daemon ran the aggregate and handed Spark at most one row per
-    group, containers ran it in Spark. Returns the report."""
+    group, containers ran it in Spark (as does LLAP when ``daemon`` is
+    off). Returns the report."""
     handed = []
     to_spark = _HS2ExecutionContext._to_spark
 
@@ -464,7 +505,7 @@ def run_fragment(w, plan, monkeypatch):
 
     monkeypatch.setattr(_HS2ExecutionContext, "_to_spark", spy)
     r = w.hs2.execute(plan)
-    tables = {t: w.hs2.reader.scan(t).toPandas() for t in ("f", "e")}
+    tables = {t: w.hs2.reader.scan(t).toPandas() for t in plan.tables()}
     spark = w.hs2.spark
     got = (
         spark.createDataFrame(r.result)
@@ -472,12 +513,41 @@ def run_fragment(w, plan, monkeypatch):
         else spark.createDataFrame([], ", ".join(f"{c} string" for c in r.result.columns))
     )
     assert_equivalent(got, plan.to_sql(), **tables)
-    if w.hs2.config.llap:
+    if w.hs2.config.llap and daemon:
         assert r.daemon_aggregates == 1
         assert max(handed) <= max(len(r.result), 1)
     else:
         assert r.daemon_aggregates == 0
     return r
+
+
+# dimensions to join ``f`` with: ``d`` has a NULL key and a duplicated key,
+# ``q`` one row per partition of ``f``
+DIMENSIONS = {
+    "d": pd.DataFrame(
+        {
+            "dg": ["a", "a", "b", None, "c", "z"],
+            "dx": pd.array([1, 1, 4, None, 8, 3], dtype="Int64"),
+            "w": [10.0, 20.0, 30.0, 40.0, 50.0, 60.0],
+            "name": ["one", "uno", "four", "null", "eight", "three"],
+        }
+    ),
+    "q": pd.DataFrame({"qp": [1, 2], "label": ["odd", "even"]}),
+}
+X_JOIN = col("x").eq(col("dx"))
+JOINED_AGG = (
+    AggCall("sum", col("y"), "sy"), AggCall("count_star", None, "n"),
+    AggCall("max", col("w"), "mw"), AggCall("min", col("g"), "mg"),
+)
+
+
+@pytest.fixture
+def star(facts):
+    """``facts`` with the dimensions ``d`` and ``q``."""
+    for name, pdf in DIMENSIONS.items():
+        facts.hs2.create_table(Table(name, infer_columns(pdf)))
+        facts.hs2.insert(name, pdf)
+    return facts
 
 
 class TestDaemonFragment:
@@ -567,3 +637,115 @@ class TestDaemonFragment:
         assert r.shared_subtrees >= 1 and r.daemon_aggregates == 0
         tables = {"f": facts.hs2.reader.scan("f").toPandas()}
         assert_equivalent(facts.hs2.spark.createDataFrame(r.result), plan.to_sql(), **tables)
+
+    # -- map joins: an aggregate over a join of Filter/Scan chains --------
+
+    @pytest.mark.parametrize("dim_filter", [None, col("w").gt(15.0)], ids=["all", "filtered"])
+    def test_join_with_null_and_duplicate_keys(self, star, dim_filter, monkeypatch):
+        """NULL keys on both sides join nothing; a key twice on the build
+        side doubles its fact rows."""
+        dim = Scan("d") if dim_filter is None else Filter(Scan("d"), dim_filter)
+        plan = Aggregate(Join(Scan("f"), dim, X_JOIN), ("name",), JOINED_AGG)
+        r = run_fragment(star, plan, monkeypatch)
+        assert sorted(r.result["name"]) == (
+            ["eight", "four", "one", "three", "uno"]
+            if dim_filter is None
+            else ["eight", "four", "three", "uno"]
+        )
+
+    def test_two_column_key(self, star, monkeypatch):
+        cond = And(col("dg").eq(col("g")), X_JOIN)
+        plan = Aggregate(Join(Scan("d"), Scan("f"), cond), ("g", "name"), JOINED_AGG)
+        run_fragment(star, plan, monkeypatch)
+
+    def test_three_way_join(self, star, monkeypatch):
+        """The fact joined with two dimensions, each filtered (q16's
+        shape, where the planner pushes the filter above the joins into
+        its dimension)."""
+        inner = Join(Scan("f"), Filter(Scan("d"), col("w").lt(55.0)), X_JOIN)
+        plan = Aggregate(
+            Filter(Join(inner, Scan("q"), col("p").eq(col("qp"))), col("label").eq("even")),
+            ("label", "name"),
+            JOINED_AGG,
+        )
+        run_fragment(star, plan, monkeypatch)
+
+    @pytest.mark.parametrize("keys", [(), ("name",)], ids=["global", "grouped"])
+    def test_empty_filtered_dimension(self, star, keys, monkeypatch):
+        plan = Aggregate(
+            Join(Scan("f"), Filter(Scan("d"), col("name").eq("none")), X_JOIN), keys, JOINED_AGG
+        )
+        r = run_fragment(star, plan, monkeypatch)
+        assert len(r.result) == (0 if keys else 1)
+
+    def test_join_after_deletes(self, star, monkeypatch):
+        star.hs2.delete_where("f", Or(col("x").eq(4), col("g").eq("c")))
+        plan = Aggregate(Join(Scan("f"), Scan("d"), X_JOIN), ("name",), JOINED_AGG)
+        r = run_fragment(star, plan, monkeypatch)
+        assert sorted(r.result["name"]) == ["one", "three", "uno"]
+
+    @pytest.mark.parametrize(
+        "join",
+        [
+            Join(Scan("f"), Scan("d"), X_JOIN, "left"),
+            Join(Scan("f"), Scan("d"), And(X_JOIN, col("y").lt(col("w")))),
+            Join(Scan("f"), Scan("d"), Or(X_JOIN, col("g").eq(col("dg")))),
+        ],
+        ids=["left_join", "non_equi", "disjunction"],
+    )
+    def test_joins_the_daemon_leaves_to_spark(self, star, join, monkeypatch):
+        plan = Aggregate(join, ("name",), JOINED_AGG)
+        run_fragment(star, plan, monkeypatch, daemon=False)
+
+    def test_both_sides_over_the_build_bound(self, star, monkeypatch):
+        monkeypatch.setattr(hs2_module, "MAX_BUILD_ROWS", 0)
+        plan = Aggregate(Join(Scan("f"), Scan("d"), X_JOIN), ("name",), JOINED_AGG)
+        run_fragment(star, plan, monkeypatch, daemon=False)
+
+    def test_overlapping_names(self, star):
+        """Both sides output ``p``: the daemon leaves the join to Spark.
+        (The planner prunes an unused ``p``, so the scans name it here.)"""
+        dim = pd.DataFrame({"dx": [1, 4, 4], "p": [1, 2, 3]})
+        star.hs2.create_table(Table("dp", infer_columns(dim)))
+        star.hs2.insert("dp", dim)
+        plan = Aggregate(
+            Join(Scan("f", columns=("x", "p")), Scan("dp", columns=("dx", "p")), X_JOIN),
+            (),
+            (AggCall("count_star", None, "n"),),
+        )
+        ctx = star.context()
+        got = compile_plan(plan, ctx)
+        assert ctx.daemon_aggregates == 0
+        tables = {t: star.hs2.reader.scan(t).toPandas() for t in ("f", "dp")}
+        assert_equivalent(got, plan.to_sql(), **tables)
+
+    def test_incremental_rebuild_over_a_join(self, facts, monkeypatch):
+        """An incremental rebuild of store_sales ⋈ date_dim joins only the
+        new store_sales rows with every date, in the daemon on LLAP."""
+        hs2 = facts.hs2
+        frames = tpcds_lite.load_into(hs2, sf=0.002)
+        definition = Aggregate(
+            Filter(
+                Join(Scan("store_sales"), Scan("date_dim"), col("ss_sold_date_sk").eq(col("d_date_sk"))),
+                col("d_moy").le(6),
+            ),
+            ("d_year",),
+            (AggCall("sum", col("ss_quantity"), "q"), AggCall("count_star", None, "n")),
+        )
+        hs2.create_materialized_view("mv", definition)
+        hs2.insert("store_sales", frames["store_sales"][:500])
+        ran = []  # (the rebuild's since lists, whether the daemon ran it)
+        in_daemon = _HS2ExecutionContext.aggregate_in_daemon
+
+        def spy(ctx, agg):
+            df = in_daemon(ctx, agg)
+            ran.append((dict(ctx.since), df is not None))
+            return df
+
+        monkeypatch.setattr(_HS2ExecutionContext, "aggregate_in_daemon", spy)
+        assert hs2.rebuild_materialized_view("mv") == "incremental"
+        assert [(since.keys(), daemon) for since, daemon in ran] == [
+            ({"store_sales"}, hs2.config.llap)
+        ]
+        tables = {t: hs2.reader.scan(t).toPandas() for t in ("store_sales", "date_dim")}
+        assert_equivalent(hs2.reader.scan("mv"), definition.to_sql(), **tables)

@@ -60,12 +60,6 @@ class TestWriteIds:
         t = tm.open_txn()
         assert tm.allocate_write_id(t, "a") == tm.allocate_write_id(t, "a") == 1
 
-    def test_write_id_of(self, tm):
-        t = tm.open_txn()
-        tm.allocate_write_id(t, "a")
-        assert tm.write_id_of(t, "a") == 1
-        assert tm.write_id_of(t, "b") is None
-
 
 class TestSnapshots:
     def test_snapshot_excludes_open(self, tm):
@@ -150,12 +144,6 @@ class TestSnapshots:
         assert wl.invalid == frozenset({2, 4})
         wids = pd.Series([0, 1, 2, 3, 4, 5, 3, 1], dtype="int64")
         assert wl.valid_mask(wids).tolist() == [wl.is_valid(w) for w in wids]
-
-    def test_min_open_txn(self, tm):
-        assert tm.min_open_txn() is None
-        t1, t2 = tm.open_txn(), tm.open_txn()
-        tm.commit(t1)
-        assert tm.min_open_txn() == t2
 
 
 class TestLocks:

@@ -1,4 +1,5 @@
 """TPC-DS-lite workload through the full driver, oracle-checked (§7.1)."""
+import duckdb
 import pandas as pd
 import pytest
 
@@ -27,22 +28,52 @@ V12_OK = [q for q in ALL_QUERIES if not q.features]
 V12_BLOCKED = [q for q in ALL_QUERIES if q.features]
 
 
+def uncached(hs2: HiveServer2, config=EngineConfig.v3_1) -> HiveServer2:
+    """A server on ``hs2``'s data whose every execution plans and runs."""
+    return HiveServer2(
+        hs2.spark,
+        hs2.warehouse,
+        config(container_startup_s=0.0, result_cache=False),
+        hms=hs2.hms,
+    )
+
+
+def check_oracle(hs2, q, frames) -> None:
+    r = hs2.execute(q)
+    if not len(r.result):
+        # empty result: oracle must be empty too
+        con = duckdb.connect()
+        for name, t in frames.items():
+            con.register(name, t)
+        assert len(con.execute(q.plan.to_sql()).fetchdf()) == 0
+        return
+    assert_equivalent(hs2.spark.createDataFrame(r.result), q.plan.to_sql(), **frames)
+
+
 class TestV31:
     @pytest.mark.parametrize("q", ALL_QUERIES, ids=[q.name for q in ALL_QUERIES])
     def test_query_matches_oracle(self, env, q):
         hs2, frames = env
-        r = hs2.execute(q)
-        df = hs2.spark.createDataFrame(r.result) if len(r.result) else None
-        if df is None:
-            # empty result: oracle must be empty too
-            import duckdb
+        check_oracle(hs2, q, frames)
 
-            con = duckdb.connect()
-            for name, t in frames.items():
-                con.register(name, t)
-            assert len(con.execute(q.plan.to_sql()).fetchdf()) == 0
-            return
-        assert_equivalent(df, q.plan.to_sql(), **frames)
+    @pytest.mark.parametrize("q", ALL_QUERIES, ids=[q.name for q in ALL_QUERIES])
+    def test_query_matches_oracle_on_containers(self, env, q):
+        cached, frames = env
+        with uncached(cached, EngineConfig.v3_1_container) as hs2:
+            check_oracle(hs2, q, frames)
+
+    @pytest.mark.parametrize(
+        "name", ["q02_semijoin_sports", "q12_interval_window", "q16_category_trend"]
+    )
+    def test_aggregate_over_star_join_runs_in_daemon(self, env, name):
+        """The LLAP daemon joins the fact with its dimensions and
+        aggregates (§5.1): one fragment, and Spark gets only the groups."""
+        cached, frames = env
+        q = next(q for q in ALL_QUERIES if q.name == name)
+        with uncached(cached) as hs2:
+            r = hs2.execute(q)
+        assert r.daemon_aggregates == 1
+        assert_equivalent(hs2.spark.createDataFrame(r.result), q.plan.to_sql(), **frames)
 
 
 # the columns each scanned table's scans read, for the queries whose
@@ -65,13 +96,7 @@ class TestColumnPruningUnderSetOps:
     @pytest.mark.parametrize("name", sorted(SET_OP_COLUMNS))
     def test_scans_read_only_referenced_columns(self, env, name):
         cached, frames = env
-        # a server on the same data whose every execution plans and runs
-        hs2 = HiveServer2(
-            cached.spark,
-            cached.warehouse,
-            EngineConfig.v3_1(container_startup_s=0.0, result_cache=False),
-            hms=cached.hms,
-        )
+        hs2 = uncached(cached)
         q = next(q for q in ALL_QUERIES if q.name == name)
         with hs2:
             r = hs2.execute(q)
