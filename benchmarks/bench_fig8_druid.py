@@ -18,19 +18,6 @@ def result(spark, tmp_path_factory, save_result):
     return r
 
 
-def test_fig8_benchmark(benchmark, result):
-    """Shape claims asserted here too — ``--benchmark-only`` skips the
-    plain tests below."""
-    benchmark.extra_info["total_native_s"] = result["total_native_s"]
-    benchmark.extra_info["total_druid_s"] = result["total_druid_s"]
-    benchmark.extra_info["speedup"] = result["speedup"]
-    benchmark.extra_info["paper_speedup"] = result["paper"]["speedup"]
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    assert result["total_druid_s"] < result["total_native_s"]
-    assert result["speedup"] > 1.1
-    assert len(result["rows"]) == 13
-
-
 class TestShape:
     def test_druid_federation_faster(self, result):
         assert result["total_druid_s"] < result["total_native_s"]

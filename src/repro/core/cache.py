@@ -18,7 +18,7 @@ Also implemented:
 * the *pending entry* mode: when several identical queries miss at once
   (thundering herd after a data update), only the first computes; the
   others block on the pending entry and are served from the refilled cache;
-* LRU capacity eviction and explicit invalidation/cleanup.
+* LRU capacity eviction.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ import pandas as pd
 
 from repro.core.expr import NON_DETERMINISTIC_FUNCS, RUNTIME_CONSTANT_FUNCS
 from repro.core.plan import Plan
-from repro.metastore import HiveMetastore, Snapshot, ValidWriteIdList
+from repro.metastore import ValidWriteIdList
 
 __all__ = ["CacheEntry", "QueryResultCache"]
 
@@ -39,18 +39,14 @@ __all__ = ["CacheEntry", "QueryResultCache"]
 class CacheEntry:
     result: pd.DataFrame
     lists: dict[str, ValidWriteIdList]  # the computing statement's lists
-    hits: int = 0
 
 
 class QueryResultCache:
-    def __init__(self, hms: HiveMetastore, capacity: int = 64):
-        self.hms = hms
+    def __init__(self, capacity: int = 64):
         self.capacity = capacity
         self._entries: OrderedDict[str, CacheEntry] = OrderedDict()
         self._pending: dict[str, threading.Event] = {}
         self._mutex = threading.Lock()
-        self.hit_count = 0
-        self.miss_count = 0
 
     @staticmethod
     def is_cacheable(plan: Plan) -> bool:
@@ -65,15 +61,10 @@ class QueryResultCache:
         fp = plan.fingerprint()
         with self._mutex:
             entry = self._entries.get(fp)
-            if entry is None:
-                self.miss_count += 1
-                return None
-            if entry.lists != lists:  # kept: it may be fresh for later statements
-                self.miss_count += 1
+            # a mismatched entry is kept: it may be fresh for later statements
+            if entry is None or entry.lists != lists:
                 return None
             self._entries.move_to_end(fp)
-            entry.hits += 1
-            self.hit_count += 1
             return entry.result
 
     def lookup_or_begin(
@@ -126,17 +117,6 @@ class QueryResultCache:
             ev.set()
 
     # -- maintenance -------------------------------------------------------
-
-    def expunge_stale(self, snapshot: Snapshot) -> int:
-        """Drop entries whose lists differ from ``snapshot``'s; returns count."""
-        removed = 0
-        with self._mutex:
-            for fp in list(self._entries):
-                e = self._entries[fp]
-                if self.hms.txns.write_id_lists(snapshot, e.lists) != e.lists:
-                    del self._entries[fp]
-                    removed += 1
-        return removed
 
     def clear(self) -> None:
         with self._mutex:

@@ -199,10 +199,9 @@ class _HS2ExecutionContext:
             # shared work (§4.5): merge same-table scans to a common
             # denominator, turn unions of global aggregates over one input
             # into one pass, then compute the maximal repeated subtrees
-            # left once (min_size=1 — merging "starts from scan operations
-            # over the same tables")
+            # left once
             plan = merge_union_aggregates(merge_equivalent_scans(plan))
-            self.shared = find_shared_subtrees(plan, min_size=1)
+            self.shared = find_shared_subtrees(plan)
         return plan
 
     def run(self, plan: Plan) -> pd.DataFrame:
@@ -422,7 +421,7 @@ class HiveServer2:
             if self.config.llap
             else None
         )
-        self.result_cache = QueryResultCache(self.hms)
+        self.result_cache = QueryResultCache()
         self.handlers: dict[str, StorageHandler] = {}
         # test hook: callable(plan, result_pdf) that may raise ExecutionError
         self.failure_injector = None
@@ -506,12 +505,16 @@ class HiveServer2:
     ) -> int:
         """MERGE INTO table USING source ON table.on = source.on
         WHEN MATCHED THEN UPDATE SET <update_cols from source>
-        WHEN NOT MATCHED THEN INSERT — one transaction, one WriteId."""
+        WHEN NOT MATCHED THEN INSERT — one transaction, one WriteId.
+        A NULL key matches nothing, so a source row with one is inserted."""
         cols = self.hms.get_table(table).column_names()
         wid = None
         with self._transaction() as (txn, snapshot):
             target = self._rows(table, snapshot)
-            matched = target.merge(source, on=on, how="inner", suffixes=("", "__src"))
+            target = target[target[on].notna()]  # pandas would join NULL to NULL
+            matched = target.merge(
+                source[source[on].notna()], on=on, how="inner", suffixes=("", "__src")
+            )
             if len(matched) and update_cols:
                 updated = matched.copy()
                 for c in update_cols:

@@ -108,11 +108,10 @@ def _has_filter(plan: Plan) -> bool:
     return any(isinstance(n, Filter) for n in plan.walk())
 
 
-def find_opportunities(
-    plan: Plan, ctx, max_build_rows: float = MAX_BUILD_ROWS
-) -> list[SemijoinOpportunity]:
+def find_opportunities(plan: Plan, ctx) -> list[SemijoinOpportunity]:
     """Detect equijoins where one side is a filtered subexpression small
-    enough to evaluate eagerly and the other side is a direct table scan."""
+    enough to evaluate eagerly (at most ``MAX_BUILD_ROWS`` estimated rows)
+    and the other side is a direct table scan."""
     out: list[SemijoinOpportunity] = []
     for node in plan.walk():
         if not (isinstance(node, Join) and node.how == "inner" and node.cond is not None):
@@ -141,7 +140,7 @@ def find_opportunities(
                     fact_col, dim_col = c.right.name, c.left.name
                 else:
                     continue
-                if ctx.cost.rows(dim_side) > max_build_rows:
+                if ctx.cost.rows(dim_side) > MAX_BUILD_ROWS:
                     continue
                 table = ctx.hms.get_table(fact_scan.table)
                 kind = (

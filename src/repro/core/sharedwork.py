@@ -158,17 +158,13 @@ def merge_union_aggregates(plan: Plan) -> Plan:
     return plan.transform_up(fix)
 
 
-def _subtree_size(plan: Plan) -> int:
-    return sum(1 for _ in plan.walk())
-
-
-def find_shared_subtrees(plan: Plan, min_size: int = 1) -> set[str]:
-    """Fingerprints of the *maximal* subtrees occurring 2+ times.
+def find_shared_subtrees(plan: Plan) -> set[str]:
+    """Fingerprints of the *maximal* subtrees occurring 2+ times, bare
+    scans included (merging "starts from scan operations").
 
     Maximality: when a repeated subtree is contained in a larger repeated
     subtree, only the larger one is shared (merging continues upward "until
-    a difference is found"). ``min_size`` can exclude bare scans
-    (``min_size=2`` starts at Filter-over-Scan).
+    a difference is found").
     """
     counts: Counter[str] = Counter()
     for node in plan.walk():
@@ -178,7 +174,7 @@ def find_shared_subtrees(plan: Plan, min_size: int = 1) -> set[str]:
 
     def visit(node: Plan) -> None:
         fp = node.fingerprint()
-        if counts[fp] >= 2 and _subtree_size(node) >= min_size:
+        if counts[fp] >= 2:
             shared.add(fp)
             return  # maximal: do not descend into an already-shared subtree
         for c in node.children():

@@ -1,8 +1,9 @@
 """Harnesses reproducing the paper's evaluation section (§7).
 
-Three experiments, each returning a plain-dict result that the
-``jobs/`` entrypoints print as the paper's rows and the ``benchmarks/``
-suite asserts shape claims on (paper numbers vs ours: EXPERIMENTS.md).
+Three experiments, each returning a plain-dict result. The ``benchmarks/``
+suite (``pytest benchmarks/ -q -s``) prints it as the paper's rows, writes
+it to ``results/`` and asserts the shape claims on it (paper numbers vs
+ours: EXPERIMENTS.md).
 
 * :func:`table1_llap` — §7.2 / **Table 1**: total workload response time
   with LLAP enabled vs plain containers, same configuration otherwise.

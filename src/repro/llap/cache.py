@@ -153,10 +153,3 @@ class LlapCache:
 
     def __len__(self) -> int:
         return len(self._chunks)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._chunks.clear()
-            self._meta.clear()
-            self._policy = LRFUPolicy(self.lam)
-            self._bytes = 0

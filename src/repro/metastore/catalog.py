@@ -141,23 +141,11 @@ class HiveMetastore:
             hook.on_create_table(table)
         return table
 
-    def drop_table(self, name: str) -> None:
-        self._tables.pop(name, None)
-        self._stats.pop(name, None)
-        self._partitions.pop(name, None)
-        self._partition_stats.pop(name, None)
-
     def get_table(self, name: str) -> Table:
         try:
             return self._tables[name]
         except KeyError:
             raise KeyError(f"table {name!r} not found in metastore") from None
-
-    def has_table(self, name: str) -> bool:
-        return name in self._tables
-
-    def tables(self) -> list[str]:
-        return sorted(self._tables)
 
     # -- partitions -------------------------------------------------------
 
@@ -167,10 +155,6 @@ class HiveMetastore:
 
     def partitions(self, table: str) -> list[str]:
         return sorted(self._partitions.get(table, ()))
-
-    def drop_partition(self, table: str, partition_key: str) -> None:
-        self._partitions.get(table, set()).discard(partition_key)
-        self._partition_stats.get(table, {}).pop(partition_key, None)
 
     # -- statistics (additive, §4.1) --------------------------------------
 
@@ -199,9 +183,6 @@ class HiveMetastore:
 
     def register_view(self, view: MaterializedView) -> None:
         self._views[view.name] = view
-
-    def drop_view(self, name: str) -> None:
-        self._views.pop(name, None)
 
     def views(self) -> list[MaterializedView]:
         return list(self._views.values())

@@ -104,17 +104,6 @@ class HyperLogLog:
             raise ValueError("cannot merge sketches with different precision")
         return HyperLogLog(self.p, np.maximum(self.registers, other.registers))
 
-    # -- (de)serialization for JSON persistence in the catalog -----------
-
-    def to_bytes(self) -> bytes:
-        return bytes([self.p]) + self.registers.tobytes()
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "HyperLogLog":
-        p = raw[0]
-        regs = np.frombuffer(raw[1:], dtype=np.uint8)
-        return cls(p, regs.copy())
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, HyperLogLog)

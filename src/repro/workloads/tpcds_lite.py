@@ -29,7 +29,7 @@ from repro.core.plan import (
 from repro.metastore import Column, Table
 from repro.synth_data import tpcds_lite_pandas
 
-__all__ = ["TABLES", "load_into", "queries", "QUERY_NAMES"]
+__all__ = ["TABLES", "load_into", "queries"]
 
 TABLES = [
     Table(
@@ -459,6 +459,3 @@ def queries() -> list[QuerySpec]:
     )
 
     return qs
-
-
-QUERY_NAMES = [q.name for q in queries()]

@@ -39,11 +39,6 @@ class TestTables:
         with pytest.raises(KeyError):
             hms.get_table("nope")
 
-    def test_drop(self, hms):
-        hms.create_table(_tbl())
-        hms.drop_table("t")
-        assert not hms.has_table("t")
-
     def test_constraints(self):
         t = Table(
             "dim",
@@ -53,11 +48,6 @@ class TestTables:
         assert t.has_constraint("primary_key", ["id"])
         assert not t.has_constraint("unique", ["id"])
 
-    def test_tables_listing(self, hms):
-        hms.create_table(_tbl("b"))
-        hms.create_table(_tbl("a"))
-        assert hms.tables() == ["a", "b"]
-
 
 class TestPartitions:
     def test_add_list(self, hms):
@@ -65,12 +55,6 @@ class TestPartitions:
         hms.add_partition("t", "p=1")
         hms.add_partition("t", "p=2")
         assert hms.partitions("t") == ["p=1", "p=2"]
-
-    def test_drop_partition(self, hms):
-        hms.create_table(_tbl(partitioned=("p",)))
-        hms.add_partition("t", "p=1")
-        hms.drop_partition("t", "p=1")
-        assert hms.partitions("t") == []
 
     def test_partition_on_missing_table(self, hms):
         with pytest.raises(KeyError):
@@ -113,11 +97,6 @@ class TestViews:
         )
         assert v.allowed_staleness_s() == 600.0
         assert MaterializedView("m2", None, ["t"]).allowed_staleness_s() == 0.0
-
-    def test_drop_view(self, hms):
-        hms.register_view(MaterializedView("mv", None, ["t"]))
-        hms.drop_view("mv")
-        assert hms.views() == []
 
 
 class TestHooks:

@@ -1,4 +1,11 @@
-"""Experiment harnesses (§7): smoke execution + report formatting."""
+"""Experiment harnesses (§7): smoke execution, report formatting, and
+the ``benchmarks/`` gates that assert the paper's shape claims."""
+import ast
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.features import CONTAINER_STARTUP_S
@@ -90,3 +97,36 @@ class TestSessionRestored:
         with pytest.raises(RuntimeError):
             _tuned(failing)(spark)
         assert spark.conf.get(self.KEY) == before
+
+
+class TestBenchmarkGates:
+    """``pytest benchmarks/ -q`` is the one §7 entry point. Its gates are
+    checked here by collection only, so a broken gate file fails tier-1
+    and no Spark session starts."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def shape_gates(self) -> set[str]:
+        out = {"benchmarks/bench_table1_llap.py::test_acid_read_parity"}
+        for path in sorted((self.ROOT / "benchmarks").glob("bench_*.py")):
+            for node in ast.parse(path.read_text()).body:
+                if isinstance(node, ast.ClassDef) and node.name == "TestShape":
+                    out |= {
+                        f"benchmarks/{path.name}::TestShape::{f.name}"
+                        for f in node.body
+                        if isinstance(f, ast.FunctionDef) and f.name.startswith("test_")
+                    }
+        return out
+
+    def test_every_gate_collected_and_none_timed(self):
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "--collect-only", "-q",
+             "--fixtures-per-test", "-p", "no:cacheprovider", "benchmarks/"],
+            cwd=self.ROOT, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        collected = set(re.findall(r"^benchmarks/\S+", done.stdout, re.M))
+        gates = self.shape_gates()
+        assert len(gates) >= 12 and gates <= collected
+        fixtures = set(re.findall(r"^(\w+) -- ", done.stdout, re.M))
+        assert "save_result" in fixtures and "benchmark" not in fixtures

@@ -254,6 +254,22 @@ class TestDML:
         assert out["k"].tolist() == [1, 2, 3]
         assert out["v"].tolist() == [1.0, 20.0, 30.0]
 
+    def test_merge_null_keys_never_match(self, spark, tmp_path):
+        """``t.k = s.k`` never holds for a NULL: the target's NULL-key row
+        keeps its value and the source's NULL-key row is inserted."""
+        hs2 = make_server(spark, tmp_path, EngineConfig.v3_1(container_startup_s=0.0))
+        hs2.create_table(Table("dim", [Column("k", "bigint"), Column("v", "bigint")]))
+        hs2.insert("dim", pd.DataFrame({"k": [1, None], "v": [10, 20]}))
+        hs2.merge(
+            "dim",
+            pd.DataFrame({"k": [None, 3], "v": [99, 30]}),
+            on="k",
+            update_cols=["v"],
+        )
+        out = hs2.reader.scan("dim").toPandas()
+        rows = {(None if pd.isna(k) else int(k), int(v)) for k, v in zip(out["k"], out["v"])}
+        assert len(out) == 4 and rows == {(1, 10), (None, 20), (None, 99), (3, 30)}
+
 
 def mv_def():
     """An SPJA view over sales ⋈ item, rebuildable incrementally."""

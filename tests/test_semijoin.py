@@ -91,9 +91,10 @@ class TestDetection:
         )
         assert find_opportunities(plan, ctx) == []
 
-    def test_large_build_side_skipped(self, env):
+    def test_large_build_side_skipped(self, env, monkeypatch):
         _, ctx = env
-        opps = find_opportunities(star_query(), ctx, max_build_rows=1)
+        monkeypatch.setattr(semijoin, "MAX_BUILD_ROWS", 1)
+        opps = find_opportunities(star_query(), ctx)
         assert opps == []
 
 

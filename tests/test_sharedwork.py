@@ -52,13 +52,14 @@ class TestDetection:
         assert shared == {branch.fingerprint()}
 
     def test_no_sharing_when_subtrees_differ(self):
+        """Branches over different tables share nothing, not even a scan."""
         plan = Union(
             (
                 Aggregate(Filter(Scan("fact"), col("v").gt(0.1)), (), (AggCall("count_star", None, "c"),)),
-                Aggregate(Filter(Scan("fact"), col("v").gt(0.2)), (), (AggCall("count_star", None, "c"),)),
+                Aggregate(Filter(Scan("other"), col("v").gt(0.1)), (), (AggCall("count_star", None, "c"),)),
             )
         )
-        shared = find_shared_subtrees(plan, min_size=2)
+        shared = find_shared_subtrees(plan)
         assert shared == set()
 
     def test_bare_scan_shared_by_default(self):
@@ -72,7 +73,7 @@ class TestDetection:
 
     def test_q88_counts(self):
         plan = q88_shape(4)
-        shared = find_shared_subtrees(plan, min_size=2)
+        shared = find_shared_subtrees(plan)
         base = Filter(Scan("fact"), col("v").gt(0.1))
         assert base.fingerprint() in shared
         assert sum(node == base for node in plan.walk()) == 4
@@ -91,13 +92,13 @@ class TestExecution:
 
     def test_shared_execution_correct(self, pc):
         plan = q88_shape(4)
-        shared = find_shared_subtrees(plan, min_size=2)
+        shared = find_shared_subtrees(plan)
         df = compile_plan(plan, pc.context(), shared_fingerprints=shared)
         assert_equivalent(df, plan.to_sql(), **pc.frames)
 
     def test_shared_compiles_subtree_once(self, pc):
         plan = q88_shape(3)
-        shared = find_shared_subtrees(plan, min_size=2)
+        shared = find_shared_subtrees(plan)
         calls = []
         ctx = pc.context()
         orig = ctx.resolve_scan
