@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.llap.cache import CACHE_BYTES
+
 __all__ = [
     "CONTAINER_STARTUP_S",
     "SQLFeature",
@@ -66,7 +68,7 @@ class EngineConfig:
     # runtime
     llap: bool = True
     container_startup_s: float = CONTAINER_STARTUP_S  # paid per container-mode query
-    llap_cache_bytes: int = 512 * 1024 * 1024
+    llap_cache_bytes: int = CACHE_BYTES
 
     @classmethod
     def v3_1(cls, **overrides) -> "EngineConfig":

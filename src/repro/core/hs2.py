@@ -20,18 +20,19 @@ under a fixed configuration is not, because no operator here reads one
 
 Each statement takes one ``Snapshot`` (§3.2), and its scans, result-cache
 probe and fill and MV freshness all use the WriteId lists derived from it.
-What one query sets up while it runs (that snapshot, runtime filters, the
-container allocation, persisted shared subtrees) lives in a per-query
+What one query sets up while it runs (that snapshot, the container
+allocation, persisted shared subtrees) lives in a per-query
 :class:`_HS2ExecutionContext`, never on the server, so concurrent queries
-cannot see each other's state. With LLAP, an aggregate over filtered
-scans of native tables runs inside the daemon as one fragment (§5.1):
-over one scan, or over an inner equi-join of such scans with a side small
-enough to build (a map join). Spark then receives groups rather than the
-scans' rows; every other operator, and any fragment the daemon cannot
-run, runs in Spark. The ``EngineConfig`` switches let the same
-driver impersonate Hive v1.2, v3.1-on-containers, and v3.1+LLAP for the §7
-experiments. Call :meth:`HiveServer2.close` (or use the server as a
-context manager) to stop the LLAP daemon's executors.
+cannot see each other's state. The semijoin reducer's runtime filters
+(§4.6) are plan data: they ride on the ``Scan`` they reduce. With LLAP,
+an aggregate over filtered scans of native tables runs inside the daemon
+as one fragment (§5.1): over one scan, or over an inner equi-join of
+such scans with a side small enough to build (a map join). Spark then
+receives groups rather than the scans' rows; every other operator, and
+any fragment the daemon cannot run, runs in Spark. The ``EngineConfig``
+switches let the same driver impersonate Hive v1.2, v3.1-on-containers,
+and v3.1+LLAP for the §7 experiments. Call :meth:`HiveServer2.close` (or
+use the server as a context manager) to stop the LLAP daemon's executors.
 """
 from __future__ import annotations
 
@@ -64,12 +65,7 @@ from repro.core.plan import (
 )
 from repro.core.reopt import ExecutionError
 from repro.core.rules import conjuncts, prune_partitions
-from repro.core.semijoin import (
-    MAX_BUILD_ROWS,
-    ReductionReport,
-    RuntimeFilter,
-    apply_reduction,
-)
+from repro.core.semijoin import MAX_BUILD_ROWS, ReductionReport, apply_reduction
 from repro.core.sharedwork import (
     find_shared_subtrees,
     merge_equivalent_scans,
@@ -125,17 +121,16 @@ class _HS2ExecutionContext:
     which every scan reads through; for an incremental MV rebuild (§4.4),
     ``since`` maps the changed table to the view's stored list, whose rows
     the scans skip. It also holds what :meth:`prepare` decided (the MV
-    used, the semijoin report, the subtrees to compute once), the runtime
-    Bloom filters the semijoin reducer registered, whether the query has
-    paid container allocation, and the shared subtrees it persisted
-    (§4.5), which :meth:`run` releases once the result is collected. Scans
-    route to a storage handler, the LLAP daemon, or the ACID snapshot
-    reader (container mode). On LLAP the daemon runs whole fragments
-    (§5.1): a semijoin's dimension side, and an aggregate over a filtered
-    scan or over a map join of filtered scans, which hand back values and
-    groups instead of rows; :attr:`daemon_aggregates` counts the latter.
-    ``cost`` (the planner's row estimates) picks which joins the daemon
-    may build.
+    used, the semijoin report, the subtrees to compute once), whether the
+    query has paid container allocation, and the shared subtrees it
+    persisted (§4.5), which :meth:`run` releases once the result is
+    collected. Scans route to a storage handler, the LLAP daemon, or the
+    ACID snapshot reader (container mode). On LLAP the daemon runs whole
+    fragments (§5.1): a semijoin's dimension side, and an aggregate over a
+    filtered scan or over a map join of filtered scans, which hand back
+    values and groups instead of rows; :attr:`daemon_aggregates` counts the
+    latter. ``cost`` (the planner's row estimates) picks which joins the
+    daemon may build.
     """
 
     def __init__(
@@ -158,8 +153,6 @@ class _HS2ExecutionContext:
         self._container_started = False
         # aggregates run as one daemon fragment (aggregate_in_daemon)
         self.daemon_aggregates = 0
-        # per-scan runtime-filter sets (semijoin), id → {col: filter}
-        self._bloom_registry: dict[int, dict[str, RuntimeFilter]] = {}
         # persisted shared subtrees, fingerprint → DataFrame
         self._persisted: dict[str, DataFrame] = {}
 
@@ -168,12 +161,6 @@ class _HS2ExecutionContext:
         if table not in self.lists:
             self.lists[table] = self.server.hms.txns.valid_write_ids(self.snapshot, table)
         return self.lists[table]
-
-    # called by the semijoin reducer; the returned id goes on the Scan node
-    def register_runtime_blooms(self, blooms: dict[str, RuntimeFilter]) -> int:
-        rid = len(self._bloom_registry) + 1
-        self._bloom_registry[rid] = dict(blooms)
-        return rid
 
     def prepare(self, plan: Plan, overrides: dict[str, float], rewrite: bool = True) -> Plan:
         """Figure 2's preparation of ``plan``: MV rewriting (unless
@@ -219,7 +206,7 @@ class _HS2ExecutionContext:
         an inner equi-``Join`` of two such fragments (a map join), in the
         LLAP daemon (§5.1); the result has the columns in ``needed`` (and
         the filters' and join keys'). Each scan reads through the elevator
-        with its pushed filters and runtime Blooms; each ``Filter`` then
+        with its pushed filters and runtime filters; each ``Filter`` then
         keeps the rows its condition holds for. None when the arm or the
         shape does not fit, or when a condition takes a form only the
         engine evaluates: the caller then compiles the plan for Spark."""
@@ -260,7 +247,7 @@ class _HS2ExecutionContext:
             partitions=list(scan.partitions) if scan.partitions is not None else None,
             columns=[c for c in names if c in needed] or names[:1],
             pushed_filters=list(scan.pushed_filters) or None,
-            runtime_blooms=self._bloom_registry.get(scan.runtime_filter_id),
+            runtime_filters=scan.runtime_filters,
             since=self.since.get(scan.table),
         )
 

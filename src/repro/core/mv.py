@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import pandas as pd
+from pandas.api.extensions import ExtensionDtype
 
 from repro.core.expr import (
     AggCall,
@@ -553,5 +554,20 @@ def merge_aggregate_states(
     existing MV contents with the delta computed over newly inserted rows.
     Valid for insert-only deltas: sum/count add, min/max take extrema,
     with SQL's NULLs (a NULL key is a group; a SUM of NULLs stays NULL)."""
-    combined = pd.concat([old, delta], ignore_index=True)
+    # pandas warns that it will stop skipping an empty frame, and an
+    # all-NULL column, when it picks a column's type: this skips the one
+    # and types the other itself
+    frames = [f for f in (old, delta) if len(f)] or [old]
+    if len(frames) == 2:
+        frames = [_nulls_typed_as(frames[0], frames[1]), _nulls_typed_as(frames[1], frames[0])]
+    combined = pd.concat(frames, ignore_index=True)
     return aggregate(combined, keys, [AggCall(_REAGG[a.func], Col(a.name), a.name) for a in aggs])
+
+
+def _nulls_typed_as(frame: pd.DataFrame, other: pd.DataFrame) -> pd.DataFrame:
+    """``frame`` with each all-NULL column given ``other``'s type of it,
+    where that type holds NULL (float, date/time or an extension type)."""
+    return frame.astype({
+        c: t for c, t in other.dtypes.items()
+        if frame[c].isna().all() and (t.kind in "fmM" or isinstance(t, ExtensionDtype))
+    })

@@ -20,9 +20,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.core.expr import AggCall, Expr
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.semijoin import RuntimeFilter
 
 __all__ = [
     "Plan",
@@ -102,10 +105,10 @@ class Scan(Plan):
     columns: tuple[str, ...] | None = None  # projection pushdown
     partitions: tuple[str, ...] | None = None  # partition pruning (§4.6)
     pushed_filters: tuple[Expr, ...] = ()  # sargable predicates → elevator
-    # id of a per-scan runtime-filter set (semijoin Blooms, §4.6) in the
-    # execution context — per *scan*, not per table: two scans of one table
-    # in different plan branches carry different reducers
-    runtime_filter_id: int | None = None
+    # semijoin runtime filters (§4.6), at most one per column — per *scan*,
+    # not per table: two scans of one table in different plan branches
+    # carry different reducers
+    runtime_filters: tuple[RuntimeFilter, ...] = ()
 
     def with_children(self):
         return self

@@ -7,15 +7,18 @@ data, in two variants:
 
 * **dynamic partition pruning** — the fact table is partitioned by the join
   column: the produced values select partitions (directories) directly;
-* **index semijoin** — otherwise: a min/max range condition plus a Bloom
-  filter over the produced values are pushed into the fact scan, where the
-  I/O elevator uses them to skip row groups (and the range condition also
-  runs as a regular filter).
+* **index semijoin** — otherwise: a min/max range condition plus a
+  runtime filter over the produced values are pushed into the fact scan.
+  The I/O elevator uses the range to skip row groups and the filter to
+  drop rows (and the range condition also runs as a regular filter).
+  Hive's filter is a Bloom filter over the values; a dimension side here
+  has at most ``MAX_BUILD_ROWS`` rows, and a set that small is an exact
+  Bloom, so the filter is the value set itself.
 
 The planner half (:func:`find_opportunities`) detects reducible joins; the
 runtime half (:func:`apply_reduction`) executes the dimension side, then
-rewrites the fact ``Scan`` node with the pruned partition list /
-runtime-filter annotations before final compilation — matching Hive, where
+rewrites the fact ``Scan`` node with the pruned partition list / range
+conjuncts and runtime filters before final compilation — matching Hive, where
 the reducers are "introduced by the optimizer and pushed into the scan
 operators" but *evaluated* while the query runs.
 """
@@ -23,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.bloom import BloomFilter
 from repro.core.compile import compile_plan
 from repro.core.expr import And, Col, InList, is_column_equality, lit
 from repro.core.plan import Filter, Join, Plan, Scan, output_columns
@@ -62,27 +64,27 @@ class SemijoinOpportunity:
     fact_side: str  # 'left' | 'right'
 
 
-@dataclass
+@dataclass(frozen=True)
 class RuntimeFilter:
-    """Values produced by the dimension side, packaged for the scan.
-
-    Carries both the Bloom filter (what Hive ships to the readers — the
-    value set may be too large to materialize at cluster scale) and, at
-    this simulator's scale, the exact value set so the elevator can apply
-    a vectorized membership test instead of per-row Bloom probes."""
+    """The non-NULL join-key values a dimension side produced, for the fact
+    scan's ``column``: the exact-Bloom form of Hive's runtime filter. Kept
+    sorted, so a plan carrying it has one fingerprint."""
 
     column: str
-    min_value: object
-    max_value: object
-    bloom: BloomFilter
-    n_values: int
     values: tuple = ()
 
-    def apply(self, series):
-        """Vectorized membership mask for a pandas Series."""
-        if self.values:
-            return series.isin(self.values)
-        return series.map(self.bloom.might_contain)
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "values", tuple(sorted(v for v in self.values if v is not None))
+        )
+
+    @property
+    def min_value(self):
+        return self.values[0] if self.values else None
+
+    @property
+    def max_value(self):
+        return self.values[-1] if self.values else None
 
 
 @dataclass
@@ -169,8 +171,8 @@ def apply_reduction(
 
     ``query_ctx`` is the query's execution context: it runs the dimension
     subplans (they are compiled and collected — dimension sides are small by
-    construction) and holds the runtime Blooms the rewritten scans refer
-    to. Returns the rewritten plan plus a report.
+    construction). Each rewritten scan carries its runtime filters, one per
+    column. Returns the rewritten plan plus a report.
     """
     report = ReductionReport()
     if opportunities is None:
@@ -198,7 +200,7 @@ def apply_reduction(
     def _reduce_scan(node: Scan, opps: list[tuple[int, SemijoinOpportunity]]) -> Scan:
         """Apply the given opportunities to one specific Scan node."""
         new = node
-        scan_blooms: dict[str, RuntimeFilter] = {}
+        filters: dict[str, RuntimeFilter] = {}
         for i, opp in opps:
             vals = values_by_opp[i]
             if opp.kind == "partition_pruning":
@@ -220,36 +222,23 @@ def apply_reduction(
                 new = replace(new, partitions=kept)
                 report.partitions_after = len(kept)
             else:
-                if not vals:
-                    rf = RuntimeFilter(opp.target_column, None, None, BloomFilter.of([]), 0)
-                else:
-                    rf = RuntimeFilter(
-                        opp.target_column,
-                        min(vals),
-                        max(vals),
-                        BloomFilter.of(vals),
-                        len(vals),
-                        values=tuple(vals),
-                    )
+                rf = RuntimeFilter(opp.target_column, tuple(vals))
                 report.runtime_filters.append(rf)
                 # range condition becomes a pushed (and regular) filter;
-                # the Bloom is handed to the elevator via the exec context
-                if rf.n_values:
+                # the value set rides on the scan, for the elevator
+                if rf.values:
                     cond = And(
                         Col(opp.target_column).ge(lit(rf.min_value)),
                         Col(opp.target_column).le(lit(rf.max_value)),
                     )
+                    filters[opp.target_column] = rf
                 else:  # dimension side empty → fact side contributes nothing
                     cond = InList(Col(opp.target_column), ())
                 new = replace(
                     new, pushed_filters=tuple(new.pushed_filters) + tuple(conjuncts(cond))
                 )
-                if rf.n_values:
-                    scan_blooms[opp.target_column] = rf
-        if scan_blooms:
-            new = replace(
-                new, runtime_filter_id=query_ctx.register_runtime_blooms(scan_blooms)
-            )
+        if filters:
+            new = replace(new, runtime_filters=tuple(filters.values()))
         return new
 
     def _rewrite_fact_side(subtree: Plan, opps) -> Plan:

@@ -71,13 +71,13 @@ def merge_equivalent_scans(plan: Plan) -> Plan:
             f for f in scans[0].pushed_filters
             if all(f in s.pushed_filters for s in scans[1:])
         ]
-        rf_ids = {s.runtime_filter_id for s in scans}
+        filters = {s.runtime_filters for s in scans}
         merged[table] = Scan(
             table,
             columns=columns,
             partitions=partitions,
             pushed_filters=tuple(common),
-            runtime_filter_id=rf_ids.pop() if len(rf_ids) == 1 else None,
+            runtime_filters=filters.pop() if len(filters) == 1 else (),
         )
 
     if not merged:

@@ -3,12 +3,15 @@
 The data cache is addressed along two dimensions — row groups and columns —
 so the unit of caching/eviction is a row-column *chunk* (Figure 5). Chunks
 are pandas column slices of one file row group. Eviction uses the LRFU
-policy. For validity in the presence of file updates the cache records an
-ETag-style file version (size + mtime); ACID tables never rewrite files in
-place (new deltas are new files), so adding data to a table does not
-invalidate existing chunks — the cache behaves as an MVCC view whose
-visibility is controlled by the query's WriteId snapshot, exactly the
-paper's point about transactional file-level visibility.
+policy. For validity in the presence of file updates the cache keeps an
+ETag-style file version (size + mtime) with each file's metadata, which
+:meth:`LlapCache.get_meta` checks once per read: a changed file loses its
+metadata and chunks, and the chunk lookups make no system call. ACID
+tables never rewrite files in place (new deltas are new files), so adding
+data to a table does not invalidate existing chunks — the cache behaves as
+an MVCC view whose visibility is controlled by the query's WriteId
+snapshot, exactly the paper's point about transactional file-level
+visibility.
 
 The metadata cache holds each file's own row-group metadata — row counts
 and min/max from the Parquet footer, plus the Bloom filters of the sidecar
@@ -32,7 +35,9 @@ import pandas as pd
 from repro.llap.lrfu import LRFUPolicy
 from repro.storage.layout import FileMeta, read_file_meta
 
-__all__ = ["ChunkKey", "FileVersion", "LlapCache"]
+__all__ = ["CACHE_BYTES", "ChunkKey", "FileVersion", "LlapCache"]
+
+CACHE_BYTES = 512 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -59,7 +64,6 @@ class FileVersion:
 class _Chunk:
     data: pd.Series
     nbytes: int
-    version: FileVersion
 
 
 @dataclass
@@ -74,13 +78,12 @@ class CacheStats:
 
 @dataclass
 class LlapCache:
-    capacity_bytes: int = 256 * 1024 * 1024
-    lam: float = 0.2
+    capacity_bytes: int = CACHE_BYTES
     stats: CacheStats = field(default_factory=CacheStats)
 
     def __post_init__(self) -> None:
         self._chunks: dict[ChunkKey, _Chunk] = {}
-        self._policy = LRFUPolicy(self.lam)
+        self._policy = LRFUPolicy()
         self._bytes = 0
         self._meta: dict[str, tuple[FileMeta, FileVersion]] = {}
         self._lock = threading.Lock()
@@ -88,15 +91,10 @@ class LlapCache:
     # -- data chunks -------------------------------------------------------
 
     def get_chunk(self, key: ChunkKey) -> pd.Series | None:
+        """The cached chunk, or None; :meth:`get_meta` checked its file."""
         with self._lock:
             chunk = self._chunks.get(key)
             if chunk is None:
-                self.stats.data_misses += 1
-                return None
-            current = FileVersion.of(key.file) if os.path.exists(key.file) else None
-            if current != chunk.version:
-                self._drop(key)
-                self.stats.invalidations += 1
                 self.stats.data_misses += 1
                 return None
             self.stats.data_hits += 1
@@ -107,7 +105,6 @@ class LlapCache:
         nbytes = int(data.memory_usage(deep=True))
         if nbytes > self.capacity_bytes:
             return  # never cache a chunk larger than the whole budget
-        version = FileVersion.of(key.file)
         with self._lock:
             if key in self._chunks:
                 self._drop(key)
@@ -117,7 +114,7 @@ class LlapCache:
                     break
                 self._drop(victim)
                 self.stats.evictions += 1
-            self._chunks[key] = _Chunk(data, nbytes, version)
+            self._chunks[key] = _Chunk(data, nbytes)
             self._bytes += nbytes
             self._policy.record_access(key)
 
@@ -130,19 +127,24 @@ class LlapCache:
     # -- metadata ----------------------------------------------------------
 
     def get_meta(self, file: str | Path) -> FileMeta:
+        """The file's row-group metadata, read on a miss. A file whose
+        version changed since it was cached loses its metadata and chunks."""
         f = str(file)
+        version = FileVersion.of(f)
         with self._lock:
             entry = self._meta.get(f)
             if entry is not None:
-                meta, version = entry
-                if FileVersion.of(f) == version:
+                meta, cached = entry
+                if cached == version:
                     self.stats.meta_hits += 1
                     return meta
                 del self._meta[f]
+                for key in [k for k in self._chunks if k.file == f]:
+                    self._drop(key)
                 self.stats.invalidations += 1
             self.stats.meta_misses += 1
             meta = read_file_meta(Path(f))
-            self._meta[f] = (meta, FileVersion.of(f))
+            self._meta[f] = (meta, version)
             return meta
 
     # -- introspection -----------------------------------------------------

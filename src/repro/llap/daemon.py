@@ -8,8 +8,8 @@ failure.
 
 ``scan_table`` is the LLAP scan used by the HS2 execution context: it
 resolves the snapshot's visible files exactly like the container-mode
-reader, but reads them through the elevator (row-group skipping, row
-filters, cache) and merges them in pandas
+reader, but reads them through the elevator (row-group skipping, the
+pushed and runtime row filters, cache) and merges them in pandas
 (:func:`~repro.storage.layout.visible_rows`) — small delete deltas are
 merged in memory, the paper's observation about the anti-join side staying
 tiny. When a query's aggregate sits on a filtered scan, or on an inner
@@ -79,7 +79,7 @@ class LlapDaemon:
         partitions: list[str] | None = None,
         columns: list[str] | None = None,
         pushed_filters: list[Expr] | None = None,
-        runtime_blooms: dict[str, RuntimeFilter] | None = None,
+        runtime_filters: tuple[RuntimeFilter, ...] = (),
         since: ValidWriteIdList | None = None,
     ) -> pd.DataFrame:
         """Snapshot-consistent scan through cache + elevator → pandas batch.
@@ -102,7 +102,7 @@ class LlapDaemon:
                 f,
                 read_cols,
                 pushed_filters,
-                runtime_blooms,
+                runtime_filters,
             )
             for f in data_files
         ]

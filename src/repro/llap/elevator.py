@@ -1,6 +1,6 @@
 """LLAP I/O elevator (§5.1): off-loaded reads with pushdown + chunk cache.
 
-The elevator accepts projections, sargable predicates, and Bloom filters
+The elevator accepts projections, sargable predicates, and runtime filters
 from the scan operator, consults the (cached) row-group metadata to decide
 which row groups must be read, then assembles the selected chunks — from
 cache when possible, reading only the selected row groups of the file on a
@@ -13,18 +13,20 @@ Pushdown semantics:
 * min/max range checks skip whole row groups (ORC-index equivalent);
 * per-row-group Bloom filters (for configured columns) skip groups for
   equality/IN predicates;
-* runtime semijoin Blooms (§4.6) filter *rows* after load — they come from
-  the dimension side, so their values cannot be compared to a row group
+* runtime semijoin filters (§4.6), each a dimension side's value set,
+  filter *rows* after load — they cannot be compared to a row group
   without reading it;
 * then the pushed predicates filter rows too, so what leaves the elevator
   is only what the scan's conjuncts keep. A predicate pandas cannot
   evaluate, or on a column not read, is left to the plan's ``Filter``.
-  The Blooms run first: a semijoin's range conjunct is implied by its
-  Bloom's value set, so the rows both remove count as the Bloom's. A
-  conjunct that every kept row satisfies is not evaluated, as it would
-  remove nothing: one the value set of an exact runtime filter on its
+  The runtime filters run first: a semijoin's range conjunct is implied
+  by its filter's value set, so the rows both remove count as the
+  filter's. A conjunct that every kept row satisfies is not evaluated, as
+  it would remove nothing: one the value set of a runtime filter on its
   column implies (the semijoin's range), or the min/max of every selected
   row group (on a column without NULLs there).
+
+A read checks its file's version once, in the metadata lookup.
 """
 from __future__ import annotations
 
@@ -84,12 +86,12 @@ def _overlaps(mm: tuple, op: str, v) -> bool:
 
 
 def _implied(
-    p: Expr, groups: list[RowGroupMeta], blooms: dict[str, RuntimeFilter]
+    p: Expr, groups: list[RowGroupMeta], filters: dict[str, RuntimeFilter]
 ) -> bool:
     """Does every row the runtime filters keep of ``groups`` satisfy the
     pushed ``col op lit`` or ``col IN (...)`` conjunct ``p``? It does when
     the column's values lie in a range that implies ``p``: the value set of
-    an exact runtime filter on it (which runs first), or else each group's
+    a runtime filter on it (which runs first), or else each group's
     footer min/max, where the group has no NULL in the column."""
     if isinstance(p, BinOp) and isinstance(p.left, Col) and isinstance(p.right, Lit):
         name, values = p.left.name, (p.right.value,)
@@ -97,7 +99,7 @@ def _implied(
         name, values = p.arg.name, p.values
     else:
         return False
-    flt = blooms.get(name)
+    flt = filters.get(name)
     if flt is not None and flt.values:
         return _range_implies(flt.min_value, flt.max_value, p, values)
     return all(
@@ -173,12 +175,12 @@ class IOElevator:
         file: str | Path,
         columns: list[str],
         pushed_filters: list[Expr] | None = None,
-        runtime_blooms: dict[str, RuntimeFilter] | None = None,
+        runtime_filters: tuple[RuntimeFilter, ...] = (),
     ) -> pd.DataFrame | None:
         """Read one data file through metadata pushdown + the chunk cache.
 
         Returns the rows of the surviving row groups (projected) that the
-        runtime Blooms and then the pushed filters keep, or None when every
+        runtime filters and then the pushed filters keep, or None when every
         row group was skipped.
         """
         f = str(file)
@@ -225,24 +227,24 @@ class IOElevator:
                 [pd.DataFrame({c: have[(g.start, c)] for c in columns}) for _, g in selected],
                 ignore_index=True,
             )
-            blooms = runtime_blooms or {}
+            filters = {rf.column: rf for rf in runtime_filters}
             groups = [g for _, g in selected]
             # a conjunct every kept row satisfies would remove none
-            preds = [p for p in preds if not _implied(p, groups, blooms)]
-            return _filter_rows(pdf, blooms, preds, stats)
+            preds = [p for p in preds if not _implied(p, groups, filters)]
+            return _filter_rows(pdf, filters, preds, stats)
         finally:
             with self._stats_lock:
                 self.stats.add(stats)
 
 
 def _filter_rows(
-    pdf: pd.DataFrame, blooms: dict[str, RuntimeFilter], preds: list[Expr], stats: ElevatorStats
+    pdf: pd.DataFrame, filters: dict[str, RuntimeFilter], preds: list[Expr], stats: ElevatorStats
 ) -> pd.DataFrame:
-    """Row filters, in order: the runtime semijoin Blooms (each tests exact
-    membership, or probes its Bloom filter row by row when it carries no
-    value set), then the pushed predicates. Each counts the rows it removes
-    of those the filters before it kept. A filter on a column not read, or
-    a predicate pandas cannot evaluate, keeps every row."""
+    """Row filters, in order: the runtime semijoin filters (each tests
+    membership in its value set), then the pushed predicates. Each counts
+    the rows it removes of those the filters before it kept. A filter on a
+    column not read, or a predicate pandas cannot evaluate, keeps every
+    row."""
     keep = None
 
     def add(mask: np.ndarray) -> int:
@@ -251,10 +253,10 @@ def _filter_rows(
         keep = mask if keep is None else keep & mask
         return int(np.count_nonzero(removed))
 
-    for colname, flt in blooms.items():
+    for colname, flt in filters.items():
         if colname in pdf.columns:
-            mask = flt.apply(pdf[colname])
-            stats.rows_filtered_by_runtime_bloom += add(np.asarray(mask, dtype=bool))
+            mask = pdf[colname].isin(flt.values).to_numpy(dtype=bool)
+            stats.rows_filtered_by_runtime_bloom += add(mask)
     for p in preds:
         if not p.columns() <= set(pdf.columns):
             continue

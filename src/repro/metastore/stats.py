@@ -8,7 +8,6 @@ HyperLogLog sketch (see :mod:`repro.metastore.hll`), all without rescanning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 import pandas as pd
@@ -76,17 +75,10 @@ def _scalar(v):
     return v
 
 
-def collect_stats(pdf: pd.DataFrame, columns: Mapping[str, str] | None = None) -> TableStats:
-    """Build :class:`TableStats` from a pandas frame (one file / partition).
-
-    ``columns`` optionally restricts which columns are profiled (name → type;
-    the type is unused here but mirrors the HMS API shape).
-    """
-    names = list(columns) if columns is not None else list(pdf.columns)
+def collect_stats(pdf: pd.DataFrame) -> TableStats:
+    """Build :class:`TableStats` from a pandas frame (one file / partition)."""
     out = TableStats(row_count=len(pdf))
-    for name in names:
-        if name not in pdf.columns:
-            continue
+    for name in pdf.columns:
         s = pdf[name]
         non_null = s.dropna()
         cs = ColumnStats(null_count=int(s.isna().sum()))

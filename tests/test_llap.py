@@ -1,6 +1,7 @@
 """LLAP substrate (§5.1): LRFU, chunk cache, I/O elevator, daemon scans
 and the scan → filter → [map join →] aggregate fragments the daemon runs."""
 import datetime as dt
+import os
 import sys
 import threading
 from dataclasses import asdict
@@ -11,7 +12,6 @@ import pytest
 
 import repro.core.hs2 as hs2_module
 import repro.llap.elevator as elevator
-from repro.bloom import BloomFilter
 from repro.core.compile import compile_plan
 from repro.core.expr import AggCall, And, Col, Func, InList, IsNull, Not, Or, col, holds
 from repro.core.hs2 import _HS2ExecutionContext
@@ -23,13 +23,6 @@ from repro.oracle import assert_equivalent
 from repro.storage.layout import bucket_file, write_data_file
 from repro.workloads import tpcds_lite
 from tests.conftest import Warehouse, make_acid_env, rows
-
-
-def bloom_only(column, values) -> RuntimeFilter:
-    """A runtime filter without a value set: the elevator probes its Bloom
-    filter row by row, as Hive's readers do."""
-    values = list(values)
-    return RuntimeFilter(column, min(values), max(values), BloomFilter.of(values), len(values))
 
 
 # ---------------------------------------------------------------------------
@@ -93,17 +86,21 @@ class TestCache:
         assert c.stats.data_hits == 1 and c.stats.data_misses == 1
 
     def test_file_update_invalidates(self, data_file):
-        """The ETag-style (size, mtime) version check (§5.1)."""
-        import os
+        """The ETag-style (size, mtime) version check (§5.1): the metadata
+        lookup of a read finds the file changed and drops its metadata and
+        chunks."""
         import time
 
         c = LlapCache()
+        c.get_meta(data_file)
         key = ChunkKey(data_file, 0, "k")
         c.put_chunk(key, pd.Series(range(100)))
         time.sleep(0.01)
         pd.DataFrame({"k": range(2000), "v": range(2000)}).to_parquet(data_file)
         os.utime(data_file)
-        assert c.get_chunk(key) is None
+        assert len(c.get_meta(data_file).row_groups) == 1
+        assert c.get_chunk(key) is None and len(c) == 0
+        assert c.stats.meta_misses == 2 and c.stats.data_misses == 1
         assert c.stats.invalidations == 1
 
     def test_capacity_eviction(self, data_file):
@@ -185,10 +182,10 @@ class TestElevator:
             files.append(str(f))
         # min/max skips the groups with no listed key in range, the Bloom
         # filters those whose only listed keys in range are odd ones; the
-        # runtime Bloom keeps multiples of 4
+        # runtime filter keeps multiples of 4
         wanted = [*range(1, 8000, 200), *range(0, 8000, 400)]
         preds = [col("k").lt(7000), col("k").isin(*wanted)]
-        runtime = {"k": bloom_only("k", range(0, 8000, 4))}
+        runtime = (RuntimeFilter("k", tuple(range(0, 8000, 4))),)
         reads_per_thread = 6
 
         def work(elevator):
@@ -211,10 +208,14 @@ class TestElevator:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        s = serial.stats
-        assert s.row_groups_skipped_minmax and s.row_groups_skipped_bloom
-        assert s.rows_filtered_by_runtime_bloom
-        assert asdict(concurrent.stats) == asdict(s)
+        one_pass = dict(
+            row_groups_total=80, row_groups_read=28, row_groups_skipped_minmax=45,
+            row_groups_skipped_bloom=7, rows_filtered_by_runtime_bloom=700,
+            rows_filtered_pushed=682,
+        )
+        passes = 4 * reads_per_thread
+        assert asdict(serial.stats) == {k: n * passes for k, n in one_pass.items()}
+        assert asdict(concurrent.stats) == asdict(serial.stats)
 
     def test_full_read(self, indexed_file):
         e = IOElevator(LlapCache())
@@ -253,6 +254,21 @@ class TestElevator:
         e.read_file(indexed_file, ["k", "v"])
         assert cache.stats.data_hits == before + 20  # 10 groups × 2 columns
 
+    def test_warm_read_stats_its_file_once(self, indexed_file, monkeypatch):
+        """A warm read checks its file's version once, in the metadata
+        lookup; its chunk lookups make no system call."""
+        cache = LlapCache()
+        e = IOElevator(cache)
+        e.read_file(indexed_file, ["k", "v"])
+        stats = []
+        real_stat = os.stat
+        monkeypatch.setattr(
+            os, "stat", lambda p, *a, **kw: stats.append(str(p)) or real_stat(p, *a, **kw)
+        )
+        assert len(e.read_file(indexed_file, ["k", "v"])) == 1000
+        assert cache.stats.data_hits == 20
+        assert stats == [indexed_file]
+
     def test_metadata_first_no_data_load_for_skipped(self, indexed_file):
         """Skipped chunks never enter the cache (no cache trashing)."""
         cache = LlapCache()
@@ -261,13 +277,14 @@ class TestElevator:
         assert len(cache) == 1  # only the last group's k-chunk
 
     def test_runtime_bloom_filters_rows(self, indexed_file):
+        """The runtime filter keeps exactly its value set's rows of the one
+        row group the pushed range reads."""
         e = IOElevator(LlapCache())
-        runtime = {"k": bloom_only("k", [1, 2, 3])}
-        pdf = e.read_file(indexed_file, ["k"], [col("k").le(99)], runtime_blooms=runtime)
-        # no false negatives; false positives allowed but rare
-        assert {1, 2, 3} <= set(pdf["k"])
-        assert len(pdf) <= 6
-        assert e.stats.rows_filtered_by_runtime_bloom >= 94
+        runtime = (RuntimeFilter("k", (3, 1, 2)),)
+        pdf = e.read_file(indexed_file, ["k"], [col("k").le(99)], runtime_filters=runtime)
+        assert sorted(pdf["k"]) == [1, 2, 3]
+        assert e.stats.rows_filtered_by_runtime_bloom == 97
+        assert e.stats.rows_filtered_pushed == 0
 
     def test_no_sidecar_fallback(self, tmp_path):
         """A file without a Bloom sidecar is pruned by its footer alone."""
@@ -296,14 +313,14 @@ class TestElevator:
         assert e.stats.rows_filtered_pushed == 0
 
     def test_blooms_filter_before_pushed_filters(self, indexed_file):
-        """A row both a runtime Bloom and a pushed range reject counts as
-        the Bloom's: the Bloom's value set implies the range."""
+        """A row both a runtime filter and a pushed range reject counts as
+        the runtime filter's: its value set implies the range."""
         e = IOElevator(LlapCache())
-        runtime = {"k": bloom_only("k", [10, 20])}
+        runtime = (RuntimeFilter("k", (10, 20)),)
         pdf = e.read_file(indexed_file, ["k"], [col("k").ge(10), col("k").le(20)], runtime)
-        assert {10, 20} <= set(pdf["k"]) and set(pdf["k"]) <= set(range(10, 21))
-        assert e.stats.rows_filtered_by_runtime_bloom >= 95
-        assert e.stats.rows_filtered_pushed <= 3  # Bloom false positives only
+        assert sorted(pdf["k"]) == [10, 20]
+        assert e.stats.rows_filtered_by_runtime_bloom == 98
+        assert e.stats.rows_filtered_pushed == 0
 
     def test_conjunct_every_kept_row_satisfies_is_not_evaluated(self, indexed_file, monkeypatch):
         """A pushed conjunct that the min/max of every selected row group
@@ -328,7 +345,7 @@ class TestElevator:
         assert len(pdf) == 100 and evaluated == []
         # a semijoin's range over the values its runtime filter keeps
         keys = [10, 15, 20]
-        runtime = {"k": RuntimeFilter("k", 10, 20, BloomFilter.of(keys), 3, tuple(keys))}
+        runtime = (RuntimeFilter("k", tuple(keys)),)
         pdf = e.read_file(indexed_file, ["k"], [col("k").ge(10), col("k").le(20)], runtime)
         assert sorted(pdf["k"]) == keys and evaluated == []
         assert e.stats.rows_filtered_pushed == 51

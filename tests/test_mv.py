@@ -450,6 +450,7 @@ class TestIncrementalMerge:
         )
         assert out["mn"].tolist() == [3] and out["mx"].tolist() == [11]
 
+    @pytest.mark.filterwarnings("error::FutureWarning")
     def test_null_key_and_null_sum_merge(self):
         """A NULL key is one group, and a SUM over only NULLs stays NULL."""
         old = pd.DataFrame({"k": [None, 1.0], "s": [None, 2.0], "c": [1, 1]})

@@ -9,7 +9,7 @@ from repro.core.cost import CostModel
 from repro.core.expr import And, Func, col, lit
 from repro.core.optimizer import OptimizerContext
 from repro.core.plan import Filter, Join, Scan
-from repro.core.semijoin import apply_reduction, find_opportunities
+from repro.core.semijoin import RuntimeFilter, apply_reduction, find_opportunities
 from repro.oracle import assert_equivalent
 from repro.workloads import tpcds_lite
 from tests.conftest import Warehouse, spark_jobs
@@ -104,10 +104,22 @@ class TestIndexSemijoin:
         plan, report = apply_reduction(star_query(), ctx, pc.context())
         assert len(report.runtime_filters) == 1
         rf = report.runtime_filters[0]
+        assert rf.column == "ss_item_sk"
+        assert rf.values == tuple(range(0, 100, 10))
         assert rf.min_value == 0 and rf.max_value == 90
-        assert rf.n_values == 10
-        assert rf.bloom.might_contain(10)
-        assert not rf.bloom.might_contain(11)
+        scan = next(n for n in plan.walk() if isinstance(n, Scan) and n.table == "store_sales")
+        assert scan.runtime_filters == (rf,)
+
+    def test_runtime_filter_is_a_sorted_value_set(self):
+        """NULLs are dropped and the values sorted, so equal sets give equal
+        (hashable) filters and plans with one fingerprint."""
+        a, b = RuntimeFilter("k", (30, None, 10, 20)), RuntimeFilter("k", (10, 20, 30))
+        assert a.values == (10, 20, 30) and (a.min_value, a.max_value) == (10, 30)
+        assert a == b and hash(a) == hash(b)
+        assert Scan("t", runtime_filters=(a,)).fingerprint() == (
+            Scan("t", runtime_filters=(b,)).fingerprint()
+        )
+        assert RuntimeFilter("k").min_value is None
 
     def test_scan_annotated_with_range(self, env):
         pc, ctx = env
@@ -122,7 +134,9 @@ class TestIndexSemijoin:
         pc, ctx = load(arm)
         plan = star_query(col("i_category").eq("DoesNotExist"))
         new_plan, report = reduce_and_check(pc, ctx, plan)
-        assert report.runtime_filters[0].n_values == 0
+        assert report.runtime_filters[0].values == ()
+        scan = next(n for n in new_plan.walk() if isinstance(n, Scan) and n.table == "store_sales")
+        assert scan.runtime_filters == ()
 
 
 class TestDimensionSide:
@@ -141,7 +155,7 @@ class TestDimensionSide:
         )
         _, report = reduce_and_check(pc, ctx, star_query(dim_filter))
         assert len(jobs) == 1
-        assert report.runtime_filters[0].n_values == 10
+        assert report.runtime_filters[0].values == tuple(range(0, 100, 10))
 
     def test_daemon_side_prepare_launches_no_spark_job(self, spark, warehouse):
         """q02's Sports dimension side is evaluated in the daemon: preparing
@@ -153,6 +167,21 @@ class TestDimensionSide:
             ctx.prepare(q.plan, {})
         assert ctx.semijoin.runtime_filters
         assert jobs == []
+
+    def test_q02_final_plan_carries_the_sports_keys(self, warehouse):
+        """On LLAP, q02's final plan shows the reducer that ran: the reduced
+        ``store_sales`` Scan carries the Sports item keys, sorted."""
+        frames = tpcds_lite.load_into(warehouse.hs2, sf=0.002)
+        (q,) = [q for q in tpcds_lite.queries() if q.name == "q02_semijoin_sports"]
+        r = warehouse.hs2.execute(q)
+        item = frames["item"]
+        sports = sorted(item.loc[item["i_category"] == "Sports", "i_item_sk"].tolist())
+        (scan,) = [
+            n for n in r.final_plan.walk() if isinstance(n, Scan) and n.table == "store_sales"
+        ]
+        (rf,) = scan.runtime_filters
+        assert rf.column == "ss_item_sk" and list(rf.values) == sports
+        assert_equivalent(warehouse.hs2.spark.createDataFrame(r.result), q.plan.to_sql(), **frames)
 
     def test_daemon_error_propagates(self, warehouse, monkeypatch):
         """A failed daemon read is an error, not a reason to re-run the

@@ -32,11 +32,6 @@ class TestCollect:
         assert s.column("k").min_value is None
         assert s.column("k").ndv == 0
 
-    def test_restricted_columns(self):
-        s = collect_stats(_pdf(0, 10), columns={"k": "int"})
-        assert s.column("v") is None
-        assert s.column("k") is not None
-
     def test_timestamps(self):
         s = collect_stats(pd.DataFrame({"d": pd.to_datetime(["2018-01-01", "2018-06-01"])}))
         assert s.column("d").min_value.year == 2018
