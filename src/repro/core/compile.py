@@ -7,7 +7,9 @@ snapshot reader (container mode), the LLAP elevator (cached, row-group
 skipping), or a federated system (``ForeignQuery``). An ``Aggregate`` asks
 the context first: on LLAP the daemon runs it with its input as one
 fragment (Filter/Scan chains, possibly map-joined) and the context hands
-back only the groups. Shared-work reuse
+back only the groups. A plan whose result the daemon or a storage handler
+produced whole never gets here: HS2 fetches it (:mod:`repro.core.fetch`).
+Shared-work reuse
 (§4.5) hooks in here: subtrees whose fingerprints are listed in
 ``shared_fingerprints`` are compiled once, persisted, and reused; a caller
 that passes ``_memo`` gets the persisted frames back to unpersist them

@@ -534,6 +534,9 @@ def _broadcast(value, pdf: pd.DataFrame) -> pd.Series:
 
 # pandas reduction per aggregate function; counts come from ``count``
 _REDUCE = {"sum": "sum", "min": "min", "max": "max", "avg": "mean"}
+# what SUM and AVG add up here (pandas would concatenate strings; the
+# engine casts them to numbers)
+_SUMMABLE = {"integer", "floating", "mixed-integer-float", "decimal", "empty"}
 
 
 def aggregate(pdf: pd.DataFrame, keys: Sequence[str], aggs: Sequence[AggCall]) -> pd.DataFrame:
@@ -551,6 +554,8 @@ def aggregate(pdf: pd.DataFrame, keys: Sequence[str], aggs: Sequence[AggCall]) -
             v = _broadcast(a.arg.evaluate_vector(pdf), pdf)
             if pd.api.types.is_integer_dtype(v):
                 v = v.astype("Int64")  # exact sums; a NULL keeps it integer
+            elif a.func in ("sum", "avg") and pd.api.types.infer_dtype(v) not in _SUMMABLE:
+                raise TypeError(f"{a.func} over {pd.api.types.infer_dtype(v)} values")
             elif a.func in ("min", "max") and pd.api.types.infer_dtype(v) == "string":
                 v = v.astype("string")  # objects with NULLs do not compare
         if a.filter is not None:

@@ -26,13 +26,17 @@ allocation, persisted shared subtrees) lives in a per-query
 cannot see each other's state. The semijoin reducer's runtime filters
 (§4.6) are plan data: they ride on the ``Scan`` they reduce. With LLAP,
 an aggregate over filtered scans of native tables runs inside the daemon
-as one fragment (§5.1): over one scan, or over an inner equi-join of
-such scans with a side small enough to build (a map join). Spark then
-receives groups rather than the scans' rows; every other operator, and
-any fragment the daemon cannot run, runs in Spark. The ``EngineConfig``
-switches let the same driver impersonate Hive v1.2, v3.1-on-containers,
-and v3.1+LLAP for the §7 experiments. Call :meth:`HiveServer2.close` (or
-use the server as a context manager) to stop the LLAP daemon's executors.
+as one fragment (§5.1): over one scan, or over an inner join of such
+scans on column equalities with a side small enough to build (a map
+join). When that aggregate, or a query a storage handler answers whole
+(Druid, §6.2), is the answer up to a Project, Filter, Sort, Limit or
+Unpivot, HS2 fetches the result itself (:mod:`repro.core.fetch`, Hive's
+fetch task) and no Spark job runs. Otherwise Spark receives the groups,
+or the handler's rows, and runs every other operator and any fragment
+the daemon cannot run. The ``EngineConfig`` switches let the same driver
+impersonate Hive v1.2, v3.1-on-containers, and v3.1+LLAP for the §7
+experiments. Call :meth:`HiveServer2.close` (or use the server as a
+context manager) to stop the LLAP daemon's executors.
 """
 from __future__ import annotations
 
@@ -46,8 +50,9 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import StructField, StructType
 
+from repro.core import fetch
 from repro.core.cache import QueryResultCache
-from repro.core.compile import compile_plan, spark_aggregate
+from repro.core.compile import compile_plan
 from repro.core.cost import CostModel
 from repro.core.expr import UNEVALUABLE, Expr, aggregate, holds, is_column_equality
 from repro.core.features import EngineConfig
@@ -110,6 +115,9 @@ class ExecutionReport:
     final_plan: Plan | None = None
     # Aggregate nodes the LLAP daemon ran with their scans (§5.1)
     daemon_aggregates: int = 0
+    # HS2 fetched the result the daemon or a storage handler computed
+    # whole; no Spark job ran
+    fetched: bool = False
 
 
 class _HS2ExecutionContext:
@@ -129,8 +137,11 @@ class _HS2ExecutionContext:
     fragments (§5.1): a semijoin's dimension side, and an aggregate over a
     filtered scan or over a map join of filtered scans, which hand back
     values and groups instead of rows; :attr:`daemon_aggregates` counts the
-    latter. ``cost`` (the planner's row estimates) picks which joins the
-    daemon may build.
+    latter. When such groups, or a storage handler's answer, are the result
+    up to the operators :mod:`repro.core.fetch` evaluates, :meth:`run`
+    fetches it in pandas and sets :attr:`fetched`; otherwise Spark receives
+    the groups. ``cost`` (the planner's row estimates) picks which joins
+    the daemon may build.
     """
 
     def __init__(
@@ -151,8 +162,14 @@ class _HS2ExecutionContext:
         # fingerprints of the subtrees computed once (shared work)
         self.shared: set[str] = set()
         self._container_started = False
-        # aggregates run as one daemon fragment (aggregate_in_daemon)
+        # aggregates run as one daemon fragment (daemon_groups)
         self.daemon_aggregates = 0
+        # whether run() fetched the result without Spark
+        self.fetched = False
+        # the leaf a fetch attempt ran, with its rows and their types (None
+        # when neither the daemon nor a handler could): compile_plan takes
+        # it rather than running that leaf again
+        self._leaf: tuple[Plan, tuple[pd.DataFrame, StructType] | None] | None = None
         # persisted shared subtrees, fingerprint → DataFrame
         self._persisted: dict[str, DataFrame] = {}
 
@@ -192,14 +209,55 @@ class _HS2ExecutionContext:
         return plan
 
     def run(self, plan: Plan) -> pd.DataFrame:
-        """Compile and execute ``plan``, computing the subtrees in
-        :attr:`shared` once; unpersist them afterwards."""
+        """Fetch ``plan``'s result when :meth:`fetch` can; otherwise compile
+        and execute it, computing the subtrees in :attr:`shared` once, and
+        unpersist them afterwards."""
+        if not self.shared:
+            result = self.fetch(plan)
+            if result is not None:
+                return result
         try:
             return compile_plan(plan, self, self.shared, self._persisted).toPandas()
         finally:
             for df in self._persisted.values():
                 df.unpersist(blocking=True)
             self._persisted.clear()
+
+    def fetch(self, plan: Plan) -> pd.DataFrame | None:
+        """``plan``'s result with no Spark job (Hive's fetch task), when its
+        leaf is an aggregate the daemon runs whole (:meth:`daemon_groups`)
+        or a ``ForeignQuery`` (:meth:`_foreign_answer`), under only the
+        operators in :data:`~repro.core.fetch.FETCH_OPS`: they run in
+        pandas over the leaf's rows. None otherwise, or when an operator
+        takes a form only the engine evaluates; the leaf already run is
+        then kept for :func:`compile_plan` (:meth:`_take_leaf`)."""
+        ops = []
+        while isinstance(plan, fetch.FETCH_OPS):
+            ops.append(plan)
+            plan = plan.child
+        if isinstance(plan, Aggregate):
+            leaf = self.daemon_groups(plan)
+        elif isinstance(plan, ForeignQuery):
+            leaf = self._foreign_answer(plan)
+        else:
+            return None
+        if leaf is not None:
+            try:
+                result = fetch.evaluate(ops[::-1], *leaf)
+                self.fetched = True
+                return result
+            except UNEVALUABLE:
+                pass
+        self._leaf = (plan, leaf)
+        return None
+
+    def _take_leaf(self, node: Plan, run):
+        """What :meth:`fetch` got for ``node`` if it ran that leaf, else
+        ``run(node)``."""
+        if self._leaf is not None and self._leaf[0] is node:
+            leaf, self._leaf = self._leaf[1], None
+            return leaf
+        return run(node)
 
     def _daemon_rows(self, plan: Plan, needed: set[str]) -> pd.DataFrame | None:
         """Run a ``Filter``* chain over a ``Scan`` of a native table, or over
@@ -253,7 +311,9 @@ class _HS2ExecutionContext:
 
     def _daemon_join(self, join: Join, needed: set[str]) -> pd.DataFrame | None:
         """A map join: both sides run as daemon fragments and are hash-joined
-        in pandas. Only an inner join on column equalities, between sides
+        in pandas on the condition's equalities between a left and a right
+        column; its other conjuncts then keep the joined rows they hold for.
+        Only an inner join with at least one such equality, between sides
         whose output names differ and one of which is estimated small
         enough to build (the semijoin reducer's bound); None otherwise."""
         if join.how != "inner" or join.cond is None:
@@ -263,17 +323,21 @@ class _HS2ExecutionContext:
         right_cols = set(output_columns(join.right, hms))
         if left_cols & right_cols:
             return None
-        left_keys, right_keys = [], []
+        left_keys, right_keys, residual = [], [], []
         for c in conjuncts(join.cond):
-            if not is_column_equality(c):
-                return None
-            a, b = c.left.name, c.right.name
-            if a in right_cols and b in left_cols:
-                a, b = b, a
-            if not (a in left_cols and b in right_cols):
-                return None
-            left_keys.append(a)
-            right_keys.append(b)
+            if is_column_equality(c):
+                a, b = c.left.name, c.right.name
+                if a in right_cols and b in left_cols:
+                    a, b = b, a
+                if a in left_cols and b in right_cols:
+                    left_keys.append(a)
+                    right_keys.append(b)
+                    continue
+            residual.append(c)
+        residual_cols = set().union(*(c.columns() for c in residual))
+        if not left_keys or not residual_cols <= left_cols | right_cols:
+            return None
+        needed = needed | residual_cols
         if min(self.cost.rows(join.left), self.cost.rows(join.right)) > MAX_BUILD_ROWS:
             return None
         left = self._daemon_rows(join.left, (needed & left_cols) | set(left_keys))
@@ -285,10 +349,13 @@ class _HS2ExecutionContext:
         # a NULL key joins nothing in SQL; pandas would match NaN to NaN
         left = left.dropna(subset=left_keys)
         right = right.dropna(subset=right_keys)
-        try:
-            return left.merge(right, how="inner", left_on=left_keys, right_on=right_keys)
-        except UNEVALUABLE:  # keys pandas cannot compare
+        try:  # keys pandas cannot compare, or a conjunct it cannot evaluate
+            joined = left.merge(right, how="inner", left_on=left_keys, right_on=right_keys)
+            for c in residual:
+                joined = joined[holds(c, joined)]
+        except UNEVALUABLE:
             return None
+        return joined
 
     def collect_values(self, plan: Plan, column: str) -> list | None:
         """Semijoin fast path: the distinct non-NULL values of ``column`` in
@@ -298,25 +365,31 @@ class _HS2ExecutionContext:
         pdf = self._daemon_rows(plan, {column})
         return None if pdf is None else pdf[column].dropna().unique().tolist()
 
-    def aggregate_in_daemon(self, agg: Aggregate) -> DataFrame | None:
+    def daemon_groups(self, agg: Aggregate) -> tuple[pd.DataFrame, StructType] | None:
         """An ``Aggregate`` over a fragment :meth:`_daemon_rows` runs (a
         Filter/Scan chain or a map join of such chains), run as one LLAP
         fragment: the daemon scans, joins, filters and aggregates (map-side
-        group-by, §5.1), and Spark gets only the groups, typed as Spark's
-        analyzer types the same aggregate over the fragment's columns
-        (analysis only, no job). None when the daemon cannot run it."""
+        group-by, §5.1). Returns the groups with the types Spark's analyzer
+        gives them, derived in Python from the fragment's columns; None
+        when the daemon cannot run it."""
         needed = set(agg.keys).union(*(a.columns() for a in agg.aggs))
         pdf = self._daemon_rows(agg.child, needed)
         if pdf is None:
             return None
         try:
+            columns = self._fragment_schema(agg.child, list(pdf.columns))
+            schema = fetch.aggregate_schema(columns, agg.keys, agg.aggs)
             out = aggregate(pdf, agg.keys, agg.aggs)
         except UNEVALUABLE:
             return None
-        columns = list(pdf.columns)
-        empty = self.server.spark.createDataFrame([], self._fragment_schema(agg.child, columns))
         self.daemon_aggregates += 1
-        return self._to_spark(out, spark_aggregate(empty, agg).schema)
+        return out, schema
+
+    def aggregate_in_daemon(self, agg: Aggregate) -> DataFrame | None:
+        """:meth:`daemon_groups` handed to Spark, for a plan that goes on
+        above the aggregate; None when the daemon cannot run it."""
+        groups = self._take_leaf(agg, self.daemon_groups)
+        return None if groups is None else self._to_spark(*groups)
 
     def _fragment_schema(self, plan: Plan, columns: list[str]) -> StructType:
         """The Spark types of ``columns`` of a daemon fragment over ``plan``,
@@ -340,7 +413,7 @@ class _HS2ExecutionContext:
         cols = list(scan.columns) if scan.columns is not None else table.column_names()
         if table.storage_handler in s.handlers:
             pdf = s.handlers[table.storage_handler].input_format(table)
-            return self._from_handler(pdf, table, cols)
+            return self._to_spark(*self._handler_answer(pdf, table, cols))
 
         pdf = self._daemon_rows(scan, set(cols))
         if pdf is not None:
@@ -364,17 +437,26 @@ class _HS2ExecutionContext:
         return df
 
     def resolve_foreign(self, fq: ForeignQuery) -> DataFrame:
+        return self._to_spark(*self._take_leaf(fq, self._foreign_answer))
+
+    def _foreign_answer(self, fq: ForeignQuery) -> tuple[pd.DataFrame, StructType]:
+        """Run ``fq`` in its external system; the answer and its types."""
         s = self.server
         pdf = s.handlers[fq.handler].execute_query(fq.table, json.loads(fq.query_repr))
-        return self._from_handler(pdf, s.hms.get_table(fq.table), list(fq.schema))
+        return self._handler_answer(pdf, s.hms.get_table(fq.table), list(fq.schema))
 
-    def _from_handler(self, pdf: pd.DataFrame, table: Table, cols: list[str]) -> DataFrame:
-        """A storage handler's answer with columns ``cols``, in that order.
-        An empty answer may lack the columns and always lacks their types,
-        so it is typed from the table instead."""
+    @staticmethod
+    def _handler_answer(
+        pdf: pd.DataFrame, table: Table, cols: list[str]
+    ) -> tuple[pd.DataFrame, StructType]:
+        """A storage handler's answer with columns ``cols``, in that order,
+        typed as Spark infers them from pandas. An empty answer may lack
+        the columns and always lacks their types, so it is typed from the
+        table instead."""
         if pdf.empty:
-            return self._to_spark(pdf, spark_schema(table, cols))
-        return self.server.spark.createDataFrame(pdf[cols])
+            return pd.DataFrame(columns=cols), spark_schema(table, cols)
+        pdf = pdf[cols]
+        return pdf, fetch.inferred_schema(pdf)
 
     def _to_spark(self, pdf: pd.DataFrame, schema: StructType) -> DataFrame:
         """``pdf`` handed to Spark as ``schema`` (an empty frame's pandas
@@ -654,6 +736,7 @@ class HiveServer2:
             attempts=attempt,
             final_plan=prepared,
             daemon_aggregates=ctx.daemon_aggregates,
+            fetched=ctx.fetched,
         )
 
     def execute(self, query: QuerySpec | Plan) -> ExecutionReport:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import TYPE_CHECKING
 
 import pandas as pd
@@ -37,7 +38,7 @@ from repro.llap.cache import LlapCache
 from repro.llap.elevator import IOElevator
 from repro.metastore import HiveMetastore, ValidWriteIdList
 from repro.storage import AcidReader
-from repro.storage.layout import HIDDEN_COLS, visible_rows
+from repro.storage.layout import HIDDEN_COLS, parse_acid_dir, visible_rows
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.semijoin import RuntimeFilter
@@ -92,8 +93,13 @@ class LlapDaemon:
         data_files, delete_files = self._reader.visible_files(table, wids, partitions)
 
         t = self.hms.get_table(table)
-        out_cols = columns or t.column_names()
-        read_cols = list(dict.fromkeys(list(out_cols) + list(HIDDEN_COLS)))
+        out_cols = list(columns or t.column_names())
+        # merge-on-read needs the identity triple only if a row may be
+        # invisible or deleted
+        merge = bool(delete_files) or since is not None or not all(
+            _sees_all(f, wids) for f in data_files
+        )
+        read_cols = list(dict.fromkeys(out_cols + list(HIDDEN_COLS))) if merge else out_cols
 
         frames = []
         futures = [
@@ -113,6 +119,8 @@ class LlapDaemon:
         if not frames:
             return pd.DataFrame(columns=out_cols)
         data = pd.concat(frames, ignore_index=True)
+        if not merge:
+            return data
         # delete deltas are small: apply them in memory
         tombs = (
             pd.concat([pd.read_parquet(f) for f in delete_files], ignore_index=True)
@@ -120,4 +128,14 @@ class LlapDaemon:
             else None
         )
         data = visible_rows(data, tombs, wids, since)
-        return data[list(out_cols)].reset_index(drop=True)
+        return data[out_cols].reset_index(drop=True)
+
+
+def _sees_all(data_file: str, wids: ValidWriteIdList) -> bool:
+    """Whether ``wids`` sees every row of ``data_file``: its directory's
+    WriteId range lies wholly below the high watermark and holds no
+    invalid WriteId."""
+    _, wmin, wmax = parse_acid_dir(Path(data_file).parent.name)
+    return wmax <= wids.high_watermark and not any(
+        max(wmin, 1) <= w <= wmax for w in wids.invalid
+    )

@@ -463,6 +463,71 @@ class TestDaemonScan:
         env, daemon = acid_llap
         assert daemon.scan_table("t").empty
 
+    @staticmethod
+    def _columns_read(daemon, monkeypatch) -> list[list[str]]:
+        read, read_file = [], daemon.elevator.read_file
+
+        def spy(f, columns, *args):
+            read.append(list(columns))
+            return read_file(f, columns, *args)
+
+        monkeypatch.setattr(daemon.elevator, "read_file", spy)
+        return read
+
+    def test_whole_snapshot_reads_no_identity_columns(self, acid_llap, monkeypatch):
+        """With every directory visible whole and no delete delta, a scan
+        reads only its columns and skips the merge."""
+        env, daemon = acid_llap
+        env.run_insert("t", rows([1, 2], [1.0, 2.0], [0, 1]))
+        env.run_insert("t", rows([3], [3.0], [0]))
+        read = self._columns_read(daemon, monkeypatch)
+        got = daemon.scan_table("t", columns=["k", "v"])
+        assert sorted(got["k"]) == [1, 2, 3] and list(got.columns) == ["k", "v"]
+        assert read and all(cols == ["k", "v"] for cols in read)
+
+    @pytest.mark.parametrize("kind", ["delta", "base"])
+    def test_directory_spanning_an_invalid_write_is_filtered_per_row(
+        self, acid_llap, kind, monkeypatch
+    ):
+        """A multi-write delta spanning an aborted WriteId, or a base
+        spanning an open one, holds rows the snapshot must not see: the
+        scan reads the WriteId and filters row by row."""
+        from repro.storage.layout import base_dir, delta_dir
+
+        env, daemon = acid_llap
+        env.run_insert("t", rows([1], [1.0], [0]))
+        txn = env.begin()
+        env.writer.insert(txn, "t", rows([2], [2.0], [0]))
+        if kind == "delta":
+            env.hms.txns.abort(txn)
+        env.run_insert("t", rows([3], [3.0], [0]))
+        part = env.writer.table_path("t") / "p=0"
+        merged = pd.concat(
+            [pd.read_parquet(f) for f in sorted(part.glob("delta_*/*.parquet"))],
+            ignore_index=True,
+        )
+        assert sorted(merged["k"]) == [1, 2, 3]
+        spanning = delta_dir(1, 3) if kind == "delta" else base_dir(3)
+        write_data_file(part / spanning / bucket_file(99), merged, table=env.hms.get_table("t"))
+        read = self._columns_read(daemon, monkeypatch)
+        assert sorted(daemon.scan_table("t", columns=["k"])["k"]) == [1, 3]
+        assert read == [["k", "__writeid", "__fileid", "__rowid"]]
+
+    def test_partition_with_a_delete_delta_is_anti_joined(self, acid_llap, monkeypatch):
+        env, daemon = acid_llap
+        env.run_insert("t", rows([1, 2, 3], [1.0, 2.0, 3.0], [0, 0, 1]))
+        full = env.reader.scan("t", include_hidden=True).toPandas()
+        txn = env.begin()
+        env.writer.delete(txn, "t", full[full["k"] == 2])
+        env.hms.txns.commit(txn)
+        read = self._columns_read(daemon, monkeypatch)
+        assert sorted(daemon.scan_table("t", columns=["k"])["k"]) == [1, 3]
+        assert read == [["k", "__writeid", "__fileid", "__rowid"]] * 2
+        # the other partition has no delete delta: no merge there
+        read.clear()
+        assert daemon.scan_table("t", partitions=["p=1"], columns=["k"])["k"].tolist() == [3]
+        assert read == [["k"]]
+
     def test_fragment_pool(self, acid_llap):
         _, daemon = acid_llap
         futs = [daemon.submit_fragment(lambda x=i: x * 2) for i in range(8)]
@@ -510,8 +575,9 @@ def facts(request, spark, tmp_path):
 
 def run_fragment(w, plan, monkeypatch, daemon=True):
     """Execute ``plan``, check it against DuckDB, and check the arm: the
-    LLAP daemon ran the aggregate and handed Spark at most one row per
-    group, containers ran it in Spark (as does LLAP when ``daemon`` is
+    LLAP daemon ran the aggregate and handed Spark no rows when the
+    aggregate is the answer (HS2 fetched it), else at most one row per
+    group; containers ran it in Spark (as does LLAP when ``daemon`` is
     off). Returns the report."""
     handed = []
     to_spark = _HS2ExecutionContext._to_spark
@@ -532,9 +598,12 @@ def run_fragment(w, plan, monkeypatch, daemon=True):
     assert_equivalent(got, plan.to_sql(), **tables)
     if w.hs2.config.llap and daemon:
         assert r.daemon_aggregates == 1
-        assert max(handed) <= max(len(r.result), 1)
+        if isinstance(plan, Aggregate):
+            assert r.fetched and handed == []
+        else:
+            assert not r.fetched and max(handed) <= max(len(r.result), 1)
     else:
-        assert r.daemon_aggregates == 0
+        assert r.daemon_aggregates == 0 and not r.fetched
     return r
 
 
@@ -607,14 +676,14 @@ class TestDaemonFragment:
         hs2.create_materialized_view("mv", definition)
         hs2.insert("f", FACTS[:8])
         ran = []  # (the rebuild's since lists, whether the daemon ran it)
-        in_daemon = _HS2ExecutionContext.aggregate_in_daemon
+        in_daemon = _HS2ExecutionContext.daemon_groups
 
         def spy(ctx, agg):
-            df = in_daemon(ctx, agg)
-            ran.append((dict(ctx.since), df is not None))
-            return df
+            groups = in_daemon(ctx, agg)
+            ran.append((dict(ctx.since), groups is not None))
+            return groups
 
-        monkeypatch.setattr(_HS2ExecutionContext, "aggregate_in_daemon", spy)
+        monkeypatch.setattr(_HS2ExecutionContext, "daemon_groups", spy)
         assert hs2.rebuild_materialized_view("mv") == "incremental"
         assert [since.keys() == {"f"} for since, _ in ran] == [True]
         assert [daemon for _, daemon in ran] == [hs2.config.llap]
@@ -701,14 +770,36 @@ class TestDaemonFragment:
         r = run_fragment(star, plan, monkeypatch)
         assert sorted(r.result["name"]) == ["one", "three", "uno"]
 
+    def test_residual_join_conjunct(self, star, monkeypatch):
+        """A conjunct that is not a column equality filters the rows the
+        hash join on the equality produced."""
+        plan = Aggregate(
+            Join(Scan("f"), Scan("d"), And(X_JOIN, col("y").lt(col("w")))), ("name",), JOINED_AGG
+        )
+        run_fragment(star, plan, monkeypatch)
+
+    def test_three_way_join_residual_disjunction(self, star, monkeypatch):
+        """A disjunction over the fact and the outer dimension above
+        f ⋈ d ⋈ q becomes a conjunct of the outer join's condition; the
+        daemon applies it to the joined rows."""
+        inner = Join(Scan("f"), Filter(Scan("d"), col("w").lt(55.0)), X_JOIN)
+        plan = Aggregate(
+            Filter(
+                Join(inner, Scan("q"), col("p").eq(col("qp"))),
+                Or(col("label").eq("even"), col("y").gt(4.0)),
+            ),
+            ("label", "name"),
+            JOINED_AGG,
+        )
+        run_fragment(star, plan, monkeypatch)
+
     @pytest.mark.parametrize(
         "join",
         [
             Join(Scan("f"), Scan("d"), X_JOIN, "left"),
-            Join(Scan("f"), Scan("d"), And(X_JOIN, col("y").lt(col("w")))),
             Join(Scan("f"), Scan("d"), Or(X_JOIN, col("g").eq(col("dg")))),
         ],
-        ids=["left_join", "non_equi", "disjunction"],
+        ids=["left_join", "disjunction"],
     )
     def test_joins_the_daemon_leaves_to_spark(self, star, join, monkeypatch):
         plan = Aggregate(join, ("name",), JOINED_AGG)
@@ -752,14 +843,14 @@ class TestDaemonFragment:
         hs2.create_materialized_view("mv", definition)
         hs2.insert("store_sales", frames["store_sales"][:500])
         ran = []  # (the rebuild's since lists, whether the daemon ran it)
-        in_daemon = _HS2ExecutionContext.aggregate_in_daemon
+        in_daemon = _HS2ExecutionContext.daemon_groups
 
         def spy(ctx, agg):
-            df = in_daemon(ctx, agg)
-            ran.append((dict(ctx.since), df is not None))
-            return df
+            groups = in_daemon(ctx, agg)
+            ran.append((dict(ctx.since), groups is not None))
+            return groups
 
-        monkeypatch.setattr(_HS2ExecutionContext, "aggregate_in_daemon", spy)
+        monkeypatch.setattr(_HS2ExecutionContext, "daemon_groups", spy)
         assert hs2.rebuild_materialized_view("mv") == "incremental"
         assert [(since.keys(), daemon) for since, daemon in ran] == [
             ({"store_sales"}, hs2.config.llap)
