@@ -7,13 +7,13 @@ snapshot reader (container mode), the LLAP elevator (cached, row-group
 skipping), or a federated system (``ForeignQuery``). An ``Aggregate`` asks
 the context first: on LLAP the daemon runs it with its input as one
 fragment (Filter/Scan chains, possibly map-joined) and the context hands
-back only the groups. A plan whose result the daemon or a storage handler
-produced whole never gets here: HS2 fetches it (:mod:`repro.core.fetch`).
-Shared-work reuse
+back only the groups, typed by :func:`repro.core.fetch.plan_schema`. A
+plan whose result the daemon or a storage handler produced whole never
+gets here: HS2 fetches it (:mod:`repro.core.fetch`). Shared-work reuse
 (§4.5) hooks in here: subtrees whose fingerprints are listed in
 ``shared_fingerprints`` are compiled once, persisted, and reused; a caller
 that passes ``_memo`` gets the persisted frames back to unpersist them
-when the query ends.
+when the query ends (a subtree under a daemon-run aggregate never is).
 """
 from __future__ import annotations
 
@@ -41,14 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.hs2 import _HS2ExecutionContext
 
 __all__ = ["compile_plan", "spark_aggregate"]
-
-
-_JOIN_HOW = {
-    "inner": "inner",
-    "left": "left",
-    "left_semi": "left_semi",
-    "left_anti": "left_anti",
-}
 
 
 def compile_plan(
@@ -100,15 +92,13 @@ def _compile(plan, ctx, shared, memo) -> DataFrame:
         left, right = rec(plan.left), rec(plan.right)
         if plan.how == "cross" or plan.cond is None:
             return left.crossJoin(right)
-        return left.join(right, on=plan.cond.to_spark(), how=_JOIN_HOW[plan.how])
+        return left.join(right, on=plan.cond.to_spark(), how=plan.how)
     if isinstance(plan, Aggregate):
         # the LLAP daemon may run a scan → filter → [map join →] aggregate
-        # fragment itself (§5.1), unless part of it is shared work computed
-        # once
-        if not (shared and any(n.fingerprint() in shared for n in plan.child.walk())):
-            df = ctx.aggregate_in_daemon(plan)
-            if df is not None:
-                return df
+        # fragment itself (§5.1); its cache serves a scan shared work repeats
+        df = ctx.aggregate_in_daemon(plan)
+        if df is not None:
+            return df
         return spark_aggregate(rec(plan.child), plan)
     if isinstance(plan, Sort):
         df = rec(plan.child)

@@ -547,6 +547,7 @@ def aggregate(pdf: pd.DataFrame, keys: Sequence[str], aggs: Sequence[AggCall]) -
     one of :data:`UNEVALUABLE` for a form only the engine evaluates."""
     masks: dict = {}  # one evaluation per distinct FILTER
     inputs = {}
+    dates = set()  # calls over DATE values, reduced as datetime64
     for a in aggs:
         if a.func == "count_star":
             v = pd.Series(1, index=pdf.index)
@@ -558,6 +559,9 @@ def aggregate(pdf: pd.DataFrame, keys: Sequence[str], aggs: Sequence[AggCall]) -
                 raise TypeError(f"{a.func} over {pd.api.types.infer_dtype(v)} values")
             elif a.func in ("min", "max") and pd.api.types.infer_dtype(v) == "string":
                 v = v.astype("string")  # objects with NULLs do not compare
+            elif a.func in ("min", "max") and pd.api.types.infer_dtype(v) == "date":
+                v = pd.to_datetime(v)  # likewise; handed back as dates
+                dates.add(a.name)
         if a.filter is not None:
             if a.filter not in masks:
                 masks[a.filter] = holds(a.filter, pdf)
@@ -576,6 +580,8 @@ def aggregate(pdf: pd.DataFrame, keys: Sequence[str], aggs: Sequence[AggCall]) -
             out[a.name] = n
             continue
         value = getattr(src[a.name], _REDUCE[a.func])()
+        if a.name in dates:
+            value = value.dt.date if keys else value.date()
         out[a.name] = value.where(n > 0) if keys else (value if n > 0 else None)
     if keys:
         return pd.DataFrame(out, index=counts.index).reset_index()

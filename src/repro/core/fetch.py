@@ -7,12 +7,14 @@ answer's input in pandas: an aggregate the LLAP daemon ran as one fragment
 Above the leaf only :data:`FETCH_OPS` may sit; HS2 evaluates them in pandas
 (:func:`evaluate`) and Spark never sees the rows.
 
-The fetched frame must be the one Spark would have returned. So the leaf's
-and every operator's output is typed here as Spark's analyzer types it (ANSI
-mode): :func:`expr_type` for an ``Expr``, :func:`aggregate_schema` for a
-group-by. The frame is then shaped as Spark's Arrow ``toPandas`` shapes a
-result of that schema (:func:`to_pandas`). Nullability is not tracked except
-where Spark's aggregates fix it: it never changes what ``toPandas`` returns.
+The fetched frame must be the one Spark would have returned. So column
+types come from here: :func:`plan_schema` types every plan node as Spark's
+analyzer types it (ANSI mode), from the catalog, :func:`expr_type` and
+:func:`aggregate_schema`; HS2 types daemon groups, handler answers and MV
+columns with it. A fetched frame is shaped as Spark's Arrow ``toPandas``
+shapes a result of its plan's schema (:func:`to_pandas`). Nullability is
+not tracked except where Spark's aggregates fix it: it never changes what
+``toPandas`` returns.
 
 Sort follows Spark's NULL order (ASC NULLS FIRST, DESC NULLS LAST) and keeps
 the input order of ties; Filter keeps the rows :func:`~repro.core.expr.holds`
@@ -29,9 +31,9 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 from pyspark.sql import types as T
-from pyspark.sql.pandas.types import from_arrow_type
 
 from repro.core.expr import (
+    NON_DETERMINISTIC_FUNCS,
     AggCall,
     And,
     BinOp,
@@ -45,13 +47,28 @@ from repro.core.expr import (
     Or,
     holds,
 )
-from repro.core.plan import Filter, Limit, Plan, Project, Sort, Unpivot
+from repro.core.plan import (
+    Aggregate,
+    Filter,
+    ForeignQuery,
+    Join,
+    Limit,
+    Plan,
+    Project,
+    Scan,
+    SetOp,
+    Sort,
+    Union,
+    Unpivot,
+    output_columns,
+)
+from repro.storage.reader import spark_schema
 
 __all__ = [
     "FETCH_OPS",
     "expr_type",
     "aggregate_schema",
-    "inferred_schema",
+    "plan_schema",
     "evaluate",
     "to_pandas",
 ]
@@ -132,10 +149,17 @@ def _literal_type(v) -> T.DataType:
     raise TypeError(f"a literal of type {type(v).__name__}")
 
 
+# each function's type; the date parts take a date or a timestamp
+_FUNC_TYPES = {
+    **dict.fromkeys(("year", "month", "day"), T.IntegerType()),
+    "rand": T.DoubleType(), "current_date": T.DateType(), "current_timestamp": T.TimestampType(),
+}
+
+
 def expr_type(e: Expr, types: dict[str, T.DataType]) -> T.DataType:
     """The Spark type of ``e`` over columns typed by ``types``. Raises one
     of :data:`~repro.core.expr.UNEVALUABLE` for a form Spark rejects or
-    only the engine evaluates."""
+    this module does not type."""
     if isinstance(e, Col):
         return types[e.name]
     if isinstance(e, Lit):
@@ -150,16 +174,18 @@ def expr_type(e: Expr, types: dict[str, T.DataType]) -> T.DataType:
             return T.BooleanType()
         wider = _wider(left, right)  # arithmetic is over numbers only here
         return T.DoubleType() if e.op == "/" else wider
-    if isinstance(e, Func) and e.name in ("year", "month", "day"):
-        if not isinstance(expr_type(e.args[0], types), (T.DateType, T.TimestampType)):
+    if isinstance(e, Func) and e.name in _FUNC_TYPES:
+        if e.args and not isinstance(expr_type(e.args[0], types), (T.DateType, T.TimestampType)):
             raise TypeError(f"{e.name}() of a non-date")
-        return T.IntegerType()
-    raise NotImplementedError(f"{e!r} is evaluated by the engine only")
+        return _FUNC_TYPES[e.name]
+    raise NotImplementedError(f"{e!r} is not typed here")
 
 
 def _agg_type(a: AggCall, types: dict[str, T.DataType]) -> T.DataType:
     if a.func == "count_star":
         return T.LongType()
+    if a.arg.function_names() & NON_DETERMINISTIC_FUNCS:
+        raise NotImplementedError("a non-deterministic aggregate argument")
     t = expr_type(a.arg, types)
     if a.func == "count":
         return T.LongType()
@@ -188,13 +214,39 @@ def aggregate_schema(
     return T.StructType(out)
 
 
-def inferred_schema(pdf: pd.DataFrame) -> T.StructType:
-    """The schema Spark infers for ``pdf`` handed over without one: each
-    column's Arrow type, as ``createDataFrame`` derives it."""
-    arrow = pa.Schema.from_pandas(pdf, preserve_index=False)
-    return T.StructType(
-        [T.StructField(str(n), from_arrow_type(f.type), f.nullable) for n, f in zip(pdf.columns, arrow)]
-    )
+def plan_schema(plan: Plan, catalog) -> T.StructType:
+    """The schema Spark's analyzer gives ``plan``'s output, named as by
+    :func:`~repro.core.plan.output_columns` (``catalog`` resolves tables).
+    Raises one of :data:`~repro.core.expr.UNEVALUABLE` for an expression
+    this module does not type."""
+    if isinstance(plan, Scan):
+        return spark_schema(catalog.get_table(plan.table), output_columns(plan, catalog))
+    if isinstance(plan, (Filter, Sort, Limit)):
+        return plan_schema(plan.child, catalog)
+    if isinstance(plan, ForeignQuery):
+        return plan.schema
+    if isinstance(plan, Aggregate):
+        return aggregate_schema(plan_schema(plan.child, catalog), plan.keys, plan.aggs)
+    if isinstance(plan, Join):
+        left = plan_schema(plan.left, catalog)
+        if plan.how in ("left_semi", "left_anti"):
+            return left
+        return T.StructType(left.fields + plan_schema(plan.right, catalog).fields)
+    child = [plan_schema(c, catalog) for c in plan.children()]
+    types = {f.name: f.dataType for f in child[0].fields}
+    if isinstance(plan, Project):
+        return T.StructType([T.StructField(n, expr_type(e, types)) for n, e in plan.exprs])
+    # the other nodes type each column by the types it takes, widened
+    names = plan.names if isinstance(plan, Unpivot) else child[0].names
+    if isinstance(plan, Unpivot):
+        columns = zip(*[[expr_type(e, types) for e in row] for row in plan.rows])
+    elif isinstance(plan, Union):  # inputs matched by name, as unionByName matches them
+        columns = [[s[n].dataType for s in child] for n in names]
+    elif isinstance(plan, SetOp):  # by position
+        columns = zip(*[[f.dataType for f in s.fields] for s in child])
+    else:
+        raise TypeError(f"unknown plan node {type(plan).__name__}")
+    return T.StructType([T.StructField(n, reduce(_wider, ts)) for n, ts in zip(names, columns)])
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -220,27 +272,19 @@ def _series(e: Expr, pdf: pd.DataFrame) -> pd.Series:
     return pd.Series([value] * len(pdf), index=pdf.index, dtype=object)
 
 
-def _apply(op: Plan, pdf: pd.DataFrame, schema: T.StructType) -> tuple[pd.DataFrame, T.StructType]:
+def _apply(op: Plan, pdf: pd.DataFrame) -> pd.DataFrame:
     if isinstance(op, Filter):
-        return pdf[holds(op.cond, pdf)], schema
+        return pdf[holds(op.cond, pdf)]
     if isinstance(op, Limit):
-        return pdf.head(op.n), schema
+        return pdf.head(op.n)
     if isinstance(op, Sort):
         # a stable sort per key, the last key first, is one sort by all keys
         for c, asc in reversed(op.keys):
             pdf = pdf.sort_values(c, ascending=asc, na_position="first" if asc else "last", kind="stable")
-        return pdf, schema
-    types = {f.name: f.dataType for f in schema.fields}
+        return pdf
     if isinstance(op, Project):
-        out = T.StructType([T.StructField(n, expr_type(e, types)) for n, e in op.exprs])
-        return pd.DataFrame({n: _value(e, pdf) for n, e in op.exprs}, index=pdf.index), out
+        return pd.DataFrame({n: _value(e, pdf) for n, e in op.exprs}, index=pdf.index)
     if isinstance(op, Unpivot):
-        out = T.StructType(
-            [
-                T.StructField(n, reduce(_wider, (expr_type(row[j], types) for row in op.rows)))
-                for j, n in enumerate(op.names)
-            ]
-        )
         pdf = pdf.reset_index(drop=True)
         # each input row's output rows together, in the order of ``rows``
         columns = {
@@ -250,15 +294,16 @@ def _apply(op: Plan, pdf: pd.DataFrame, schema: T.StructType) -> tuple[pd.DataFr
             .infer_objects()
             for j, n in enumerate(op.names)
         }
-        return pd.DataFrame(columns), out
+        return pd.DataFrame(columns)
     raise TypeError(f"cannot fetch through {type(op).__name__}")
 
 
 def evaluate(ops: Sequence[Plan], pdf: pd.DataFrame, schema: T.StructType) -> pd.DataFrame:
-    """Apply ``ops`` (innermost first) to the leaf's rows ``pdf`` of Spark
-    type ``schema``; the result as Spark's ``toPandas`` would return it."""
+    """Apply ``ops`` (innermost first) to the leaf's rows ``pdf``; the
+    result as Spark's ``toPandas`` would return it for the outermost op's
+    :func:`plan_schema` ``schema``."""
     for op in ops:
-        pdf, schema = _apply(op, pdf, schema)
+        pdf = _apply(op, pdf)
     return to_pandas(pdf, schema)
 
 

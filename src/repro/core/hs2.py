@@ -33,7 +33,10 @@ join). When that aggregate, or a query a storage handler answers whole
 Unpivot, HS2 fetches the result itself (:mod:`repro.core.fetch`, Hive's
 fetch task) and no Spark job runs. Otherwise Spark receives the groups,
 or the handler's rows, and runs every other operator and any fragment
-the daemon cannot run. The ``EngineConfig`` switches let the same driver
+the daemon cannot run, shared work or not. Every column type HS2 hands
+on (groups, handler answers, fetched results, MV columns) comes from the
+plan (:func:`repro.core.fetch.plan_schema`), never from pandas dtypes.
+The ``EngineConfig`` switches let the same driver
 impersonate Hive v1.2, v3.1-on-containers, and v3.1+LLAP for the §7
 experiments. Call :meth:`HiveServer2.close` (or use the server as a
 context manager) to stop the LLAP daemon's executors.
@@ -48,7 +51,7 @@ from typing import Iterator
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql.types import StructField, StructType
+from pyspark.sql.types import StructType
 
 from repro.core import fetch
 from repro.core.cache import QueryResultCache
@@ -80,16 +83,15 @@ from repro.druid import TIME_COL
 from repro.federation.handler import StorageHandler
 from repro.llap import LlapCache, LlapDaemon
 from repro.metastore import (
+    Column,
     HiveMetastore,
     MaterializedView,
     Snapshot,
     Table,
     ValidWriteIdList,
-    infer_columns,
 )
 from repro.storage import AcidReader, AcidWriter, Compactor
 from repro.storage.layout import base_dir
-from repro.storage.reader import spark_schema
 
 __all__ = ["QuerySpec", "ExecutionReport", "HiveServer2"]
 
@@ -137,11 +139,12 @@ class _HS2ExecutionContext:
     fragments (§5.1): a semijoin's dimension side, and an aggregate over a
     filtered scan or over a map join of filtered scans, which hand back
     values and groups instead of rows; :attr:`daemon_aggregates` counts the
-    latter. When such groups, or a storage handler's answer, are the result
-    up to the operators :mod:`repro.core.fetch` evaluates, :meth:`run`
-    fetches it in pandas and sets :attr:`fetched`; otherwise Spark receives
-    the groups. ``cost`` (the planner's row estimates) picks which joins
-    the daemon may build.
+    latter, shared work or not. When such groups, or a storage handler's
+    answer, both typed by :func:`~repro.core.fetch.plan_schema`, are the
+    result up to the operators :mod:`repro.core.fetch` evaluates,
+    :meth:`run` fetches it in pandas and sets :attr:`fetched`; otherwise
+    Spark receives the groups. ``cost`` (the planner's row estimates) picks
+    which joins the daemon may build.
     """
 
     def __init__(
@@ -212,10 +215,9 @@ class _HS2ExecutionContext:
         """Fetch ``plan``'s result when :meth:`fetch` can; otherwise compile
         and execute it, computing the subtrees in :attr:`shared` once, and
         unpersist them afterwards."""
-        if not self.shared:
-            result = self.fetch(plan)
-            if result is not None:
-                return result
+        result = self.fetch(plan)
+        if result is not None:
+            return result
         try:
             return compile_plan(plan, self, self.shared, self._persisted).toPandas()
         finally:
@@ -228,10 +230,11 @@ class _HS2ExecutionContext:
         leaf is an aggregate the daemon runs whole (:meth:`daemon_groups`)
         or a ``ForeignQuery`` (:meth:`_foreign_answer`), under only the
         operators in :data:`~repro.core.fetch.FETCH_OPS`: they run in
-        pandas over the leaf's rows. None otherwise, or when an operator
-        takes a form only the engine evaluates; the leaf already run is
-        then kept for :func:`compile_plan` (:meth:`_take_leaf`)."""
-        ops = []
+        pandas over the leaf's rows, and the result is shaped by ``plan``'s
+        :func:`~repro.core.fetch.plan_schema`. None otherwise, or when an
+        operator takes a form only the engine evaluates; the leaf already
+        run is then kept for :func:`compile_plan` (:meth:`_take_leaf`)."""
+        root, ops = plan, []
         while isinstance(plan, fetch.FETCH_OPS):
             ops.append(plan)
             plan = plan.child
@@ -243,7 +246,7 @@ class _HS2ExecutionContext:
             return None
         if leaf is not None:
             try:
-                result = fetch.evaluate(ops[::-1], *leaf)
+                result = fetch.evaluate(ops[::-1], leaf[0], fetch.plan_schema(root, self.server.hms))
                 self.fetched = True
                 return result
             except UNEVALUABLE:
@@ -370,15 +373,14 @@ class _HS2ExecutionContext:
         Filter/Scan chain or a map join of such chains), run as one LLAP
         fragment: the daemon scans, joins, filters and aggregates (map-side
         group-by, §5.1). Returns the groups with the types Spark's analyzer
-        gives them, derived in Python from the fragment's columns; None
-        when the daemon cannot run it."""
+        gives them (:func:`~repro.core.fetch.plan_schema`); None when the
+        daemon cannot run it."""
         needed = set(agg.keys).union(*(a.columns() for a in agg.aggs))
         pdf = self._daemon_rows(agg.child, needed)
         if pdf is None:
             return None
         try:
-            columns = self._fragment_schema(agg.child, list(pdf.columns))
-            schema = fetch.aggregate_schema(columns, agg.keys, agg.aggs)
+            schema = fetch.plan_schema(agg, self.server.hms)
             out = aggregate(pdf, agg.keys, agg.aggs)
         except UNEVALUABLE:
             return None
@@ -391,33 +393,18 @@ class _HS2ExecutionContext:
         groups = self._take_leaf(agg, self.daemon_groups)
         return None if groups is None else self._to_spark(*groups)
 
-    def _fragment_schema(self, plan: Plan, columns: list[str]) -> StructType:
-        """The Spark types of ``columns`` of a daemon fragment over ``plan``,
-        from the tables its scans read: each column typed by the table of
-        the scan that outputs it, else (a scan that needs no column reads
-        its table's first) by a table that has it."""
-        hms = self.server.hms
-        scans = [n for n in plan.walk() if isinstance(n, Scan)]
-        fields: dict[str, StructField] = {}
-        for outputs_only in (True, False):
-            for scan in scans:
-                table = hms.get_table(scan.table)
-                names = output_columns(scan, hms) if outputs_only else table.column_names()
-                for f in spark_schema(table, [c for c in names if c in columns]).fields:
-                    fields.setdefault(f.name, f)
-        return StructType([fields[c] for c in columns])
-
     def resolve_scan(self, scan: Scan) -> DataFrame:
         s = self.server
         table = s.hms.get_table(scan.table)
-        cols = list(scan.columns) if scan.columns is not None else table.column_names()
+        schema = fetch.plan_schema(scan, s.hms)
+        cols = schema.names
         if table.storage_handler in s.handlers:
             pdf = s.handlers[table.storage_handler].input_format(table)
-            return self._to_spark(*self._handler_answer(pdf, table, cols))
+            return self._to_spark(*self._handler_answer(pdf, schema))
 
         pdf = self._daemon_rows(scan, set(cols))
         if pdf is not None:
-            return self._to_spark(pdf[cols], spark_schema(table, cols))
+            return self._to_spark(pdf[cols], schema)
 
         # container mode: pay YARN allocation once per query, no caches
         if not self._container_started:
@@ -440,23 +427,16 @@ class _HS2ExecutionContext:
         return self._to_spark(*self._take_leaf(fq, self._foreign_answer))
 
     def _foreign_answer(self, fq: ForeignQuery) -> tuple[pd.DataFrame, StructType]:
-        """Run ``fq`` in its external system; the answer and its types."""
-        s = self.server
-        pdf = s.handlers[fq.handler].execute_query(fq.table, json.loads(fq.query_repr))
-        return self._handler_answer(pdf, s.hms.get_table(fq.table), list(fq.schema))
+        """Run ``fq`` in its external system; the answer and the types of
+        the subtree it replaces."""
+        pdf = self.server.handlers[fq.handler].execute_query(fq.table, json.loads(fq.query_repr))
+        return self._handler_answer(pdf, fq.schema)
 
     @staticmethod
-    def _handler_answer(
-        pdf: pd.DataFrame, table: Table, cols: list[str]
-    ) -> tuple[pd.DataFrame, StructType]:
-        """A storage handler's answer with columns ``cols``, in that order,
-        typed as Spark infers them from pandas. An empty answer may lack
-        the columns and always lacks their types, so it is typed from the
-        table instead."""
-        if pdf.empty:
-            return pd.DataFrame(columns=cols), spark_schema(table, cols)
-        pdf = pdf[cols]
-        return pdf, fetch.inferred_schema(pdf)
+    def _handler_answer(pdf: pd.DataFrame, schema: StructType) -> tuple[pd.DataFrame, StructType]:
+        """A storage handler's answer with ``schema``'s columns in order
+        (an empty one may lack them), typed by ``schema``."""
+        return (pd.DataFrame(columns=schema.names) if pdf.empty else pdf[schema.names]), schema
 
     def _to_spark(self, pdf: pd.DataFrame, schema: StructType) -> DataFrame:
         """``pdf`` handed to Spark as ``schema`` (an empty frame's pandas
@@ -609,20 +589,22 @@ class HiveServer2:
         sources = sorted(definition.tables())
         current = self.hms.txns.write_id_lists(snapshot, sources)
         contents = self._run(definition, snapshot, current, rewrite=False).result
+        schema = fetch.plan_schema(definition, self.hms)
+        columns = [Column(f.name, f.dataType.simpleString()) for f in schema.fields]
         if store_in == "native":
-            table = Table(name, infer_columns(contents), is_acid=True)
+            table = Table(name, columns, is_acid=True)
         elif store_in == "druid":
-            if TIME_COL not in contents.columns:
+            if TIME_COL not in schema.names:
                 raise ValueError("a Druid-backed MV needs a __time column")
             table = Table(
                 name,
-                infer_columns(contents),
+                columns,
                 storage_handler="druid",
                 is_acid=False,
                 properties={
                     "druid.dimensions": ",".join(
-                        c for c in contents.columns
-                        if c != TIME_COL and not pd.api.types.is_float_dtype(contents[c])
+                        c.name for c in columns
+                        if c.name != TIME_COL and c.dtype not in ("double", "float")
                     )
                 },
             )

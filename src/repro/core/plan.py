@@ -25,6 +25,8 @@ from typing import TYPE_CHECKING, Callable, Iterator
 from repro.core.expr import AggCall, Expr
 
 if TYPE_CHECKING:  # pragma: no cover
+    from pyspark.sql.types import StructType
+
     from repro.core.semijoin import RuntimeFilter
 
 __all__ = [
@@ -245,16 +247,16 @@ class Unpivot(Plan):
 class ForeignQuery(Plan):
     """A subtree pushed to an external system via a storage handler (§6.2).
 
-    ``handler`` names the storage handler; ``query`` is the generated query
-    in the external system's language (for Druid: the JSON dict, kept as a
-    sorted-items tuple so the node stays hashable); ``schema`` is the output
-    column list.
+    ``handler`` names the storage handler; ``query_repr`` is the generated
+    query in the external system's language, serialized canonically (for
+    Druid: the JSON dict with sorted keys); ``schema`` is the Spark schema
+    of the subtree the query replaces, which types the external answer.
     """
 
     handler: str
     table: str
-    query_repr: str  # canonical serialized query (e.g. JSON string)
-    schema: tuple[str, ...]
+    query_repr: str
+    schema: StructType
 
     def with_children(self):
         return self
@@ -275,7 +277,9 @@ def output_columns(plan: Plan, catalog) -> list[str]:
     if isinstance(plan, Project):
         return plan.names()
     if isinstance(plan, Join):
-        return output_columns(plan.left, catalog) + output_columns(plan.right, catalog)
+        left = output_columns(plan.left, catalog)
+        semi = plan.how in ("left_semi", "left_anti")
+        return left if semi else left + output_columns(plan.right, catalog)
     if isinstance(plan, Aggregate):
         return list(plan.keys) + [a.name for a in plan.aggs]
     if isinstance(plan, (Sort, Limit)):
@@ -287,7 +291,7 @@ def output_columns(plan: Plan, catalog) -> list[str]:
     if isinstance(plan, Unpivot):
         return list(plan.names)
     if isinstance(plan, ForeignQuery):
-        return list(plan.schema)
+        return list(plan.schema.names)
     raise TypeError(f"unknown plan node {type(plan).__name__}")
 
 

@@ -26,6 +26,7 @@ import json
 from dataclasses import dataclass, field
 
 from repro.core.expr import And, BinOp, Col, Expr, Func, InList, Lit, Not, Or
+from repro.core.fetch import plan_schema
 from repro.core.plan import (
     Aggregate,
     Filter,
@@ -280,20 +281,17 @@ def _build_intervals(state: _FoldState) -> list[str]:
 
 def push_to_druid(plan: Plan, hms, handler: DruidStorageHandler) -> Plan:
     """The pushdown rule: replace each maximal translatable subtree with a
-    :class:`ForeignQuery` carrying the generated JSON."""
+    :class:`ForeignQuery` carrying the generated JSON and the subtree's
+    :func:`~repro.core.fetch.plan_schema`."""
 
     def visit(node: Plan) -> Plan:
         state = _fold(node, handler, hms)
         if state is not None:
-            query = _state_to_query(state)
-            schema = state.out_schema
-            if schema is None:  # bare scan: full datasource schema
-                schema = tuple(hms.get_table(state.table).column_names())
             return ForeignQuery(
                 handler=handler.name,
                 table=state.table,
-                query_repr=json.dumps(query, sort_keys=True),
-                schema=schema,
+                query_repr=json.dumps(_state_to_query(state), sort_keys=True),
+                schema=plan_schema(node, hms),
             )
         kids = node.children()
         if not kids:

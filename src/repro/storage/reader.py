@@ -74,14 +74,10 @@ def spark_type(dtype: str) -> T.DataType:
 def spark_schema(
     table: Table, columns: list[str] | None = None, include_hidden: bool = False
 ) -> T.StructType:
-    """Spark schema of ``columns`` (default: all) of ``table``, in order.
-
-    A column the table does not have is typed double: the output aliases
-    of an aggregate pushed down to a storage handler are not table columns.
-    """
+    """Spark schema of ``columns`` (default: all) of ``table``, in order."""
     dtypes = {c.name: c.dtype for c in table.columns}
     names = table.column_names() if columns is None else columns
-    fields = [T.StructField(c, spark_type(dtypes.get(c, "double"))) for c in names]
+    fields = [T.StructField(c, spark_type(dtypes[c])) for c in names]
     if include_hidden:
         fields += [T.StructField(h, T.LongType()) for h in HIDDEN_COLS]
     return T.StructType(fields)

@@ -3,8 +3,8 @@
 ``acid`` builds a fresh metastore + warehouse in ``tmp_path`` with a small
 partitioned test table, wired to the session SparkSession. ``Warehouse``
 (and the ``warehouse`` fixture) is a ``HiveServer2`` with pandas frames
-loaded as ACID tables, for tests that compile and run plans.
-``spark_jobs`` collects the Spark jobs a block launches.
+loaded as ACID tables (typed by ``columns_of``), for tests that compile and
+run plans. ``spark_jobs`` collects the Spark jobs a block launches.
 """
 import itertools
 from contextlib import contextmanager
@@ -17,11 +17,31 @@ import pytest
 
 from repro.core.features import EngineConfig
 from repro.core.hs2 import HiveServer2, _HS2ExecutionContext
-from repro.metastore import Column, HiveMetastore, Table, infer_columns
+from repro.metastore import Column, HiveMetastore, Table
 from repro.storage import AcidReader, AcidWriter, Compactor
 
 
 _job_groups = itertools.count()
+
+
+def columns_of(pdf: pd.DataFrame) -> list[Column]:
+    """Catalog columns for a test frame: integers as bigint, floats as
+    double, datetimes as timestamp, booleans as boolean, anything else as
+    string."""
+    out = []
+    for name, dtype in pdf.dtypes.items():
+        if pd.api.types.is_integer_dtype(dtype):
+            t = "bigint"
+        elif pd.api.types.is_float_dtype(dtype):
+            t = "double"
+        elif pd.api.types.is_datetime64_any_dtype(dtype):
+            t = "timestamp"
+        elif pd.api.types.is_bool_dtype(dtype):
+            t = "boolean"
+        else:
+            t = "string"
+        out.append(Column(str(name), t))
+    return out
 
 
 @contextmanager
@@ -121,7 +141,7 @@ class Warehouse:
 
     def load(self, name: str, pdf: pd.DataFrame, partitioned_by=()) -> None:
         """CREATE TABLE with the frame's columns, then INSERT its rows."""
-        self.hs2.create_table(Table(name, infer_columns(pdf), list(partitioned_by)))
+        self.hs2.create_table(Table(name, columns_of(pdf), list(partitioned_by)))
         self.hs2.insert(name, pdf)
         self.frames[name] = pdf
 

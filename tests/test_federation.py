@@ -148,7 +148,10 @@ class TestPushdown:
         register_external(w.hs2)
         out = push_to_druid(figure6_plan(), w.hms, handler)
         assert isinstance(out, ForeignQuery)
-        assert out.schema == ("d1", "s")
+        assert [(f.name, f.dataType.simpleString()) for f in out.schema] == [
+            ("d1", "string"),
+            ("s", "double"),
+        ]
 
     def test_pushdown_result_matches_oracle(self, fed):
         w, handler = fed
@@ -214,14 +217,14 @@ class TestPushdown:
         assert out == plan
 
     def test_empty_pushdown_result_is_typed(self, fed):
-        """An empty Druid answer gets table types, and double for an
-        aggregate alias that is not a table column."""
+        """An empty Druid answer gets the types of the subtree its query
+        replaced: the table's for a key, the aggregate's for an alias."""
         w, handler = fed
         register_external(w.hs2)
         plan = Aggregate(
             Filter(Scan("druid_table_1"), col("d1").eq("none")),
             ("d1",),
-            (AggCall("sum", col("m1"), "s"),),
+            (AggCall("sum", col("m1"), "s"), AggCall("count_star", None, "c")),
         )
         out = push_to_druid(plan, w.hms, handler)
         assert isinstance(out, ForeignQuery)
@@ -230,6 +233,7 @@ class TestPushdown:
         assert [(f.name, f.dataType.simpleString()) for f in df.schema] == [
             ("d1", "string"),
             ("s", "double"),
+            ("c", "bigint"),
         ]
 
     def test_count_star_counts_raw_rows_after_rollup(self, fed):

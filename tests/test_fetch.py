@@ -2,6 +2,7 @@
 daemon or Druid computed whole comes back with no Spark job, typed and
 shaped exactly as Spark would have returned it."""
 import datetime as dt
+from types import SimpleNamespace
 
 import pandas as pd
 import pytest
@@ -10,8 +11,9 @@ from pyspark.sql import SparkSession
 from pyspark.sql import types as T
 
 import repro.core.hs2 as hs2_module
+import repro.federation.pushdown as pushdown
 from repro.core import fetch
-from repro.core.compile import spark_aggregate
+from repro.core.compile import compile_plan, spark_aggregate
 from repro.core.expr import (
     UNEVALUABLE,
     AggCall,
@@ -27,16 +29,32 @@ from repro.core.expr import (
 )
 from repro.core.features import EngineConfig
 from repro.core.hs2 import HiveServer2, _HS2ExecutionContext
-from repro.core.plan import Aggregate, Filter, ForeignQuery, Limit, Project, Scan, Sort, Unpivot
+from repro.core.plan import (
+    Aggregate,
+    Filter,
+    ForeignQuery,
+    Join,
+    Limit,
+    Plan,
+    Project,
+    Scan,
+    SetOp,
+    Sort,
+    Union,
+    Unpivot,
+    output_columns,
+)
 from repro.druid import DruidCluster
 from repro.federation import DruidStorageHandler
 from repro.metastore import Column, Table
+from repro.oracle import assert_equivalent
 from repro.storage.reader import spark_schema
 from repro.workloads import ssb, tpcds_lite
 from tests.conftest import Warehouse, spark_jobs
 
 COLUMNS = [
     Column("g", "bigint"),
+    Column("k", "int"),
     Column("i", "int"),
     Column("b", "bigint"),
     Column("d", "double"),
@@ -49,6 +67,7 @@ TYPES = {f.name: f.dataType for f in INPUT.fields}
 ROWS = pd.DataFrame(
     {
         "g": [1, 1, 2, 2, 3, 3],
+        "k": pd.array([7, 7, 7, 7, 8, 8], dtype="int32"),
         "i": pd.array([1, None, 3, 4, None, None], dtype="Int32"),
         "b": pd.array([10, 20, None, 40, None, None], dtype="Int64"),
         "d": [0.5, None, 2.5, 3.5, None, None],
@@ -75,6 +94,9 @@ EXPRS = [
     Func("year", (col("dt"),)),
     Func("month", (col("dt"),)),
     Func("day", (col("dt"),)),
+    Func("rand"),
+    Func("current_date"),
+    Func("current_timestamp"),
     col("i").gt(2),
     col("s").eq("a"),
     And(col("i").gt(1), col("d").lt(3.0)),
@@ -86,11 +108,10 @@ EXPRS = [
 EXPR_IDS = [e.to_sql() for e in EXPRS]
 # every call both the daemon and the engine evaluate over ROWS (SUM and AVG
 # of a string cast it to a number and fail on 'a'; of a date the analyzer
-# rejects them; MIN and MAX of dates with NULLs are the engine's)
+# rejects them)
 DATA_AGGS = (
     *(AggCall(f, col(a), f"{f}_{a}") for f in FUNCS for a in ("i", "b", "d")),
-    *(AggCall(f, col("s"), f"{f}_s") for f in ("count", "min", "max")),
-    AggCall("count", col("dt"), "count_dt"),
+    *(AggCall(f, col(a), f"{f}_{a}") for f in ("count", "min", "max") for a in ("s", "dt")),
     AggCall("count_star", None, "n"),
     AggCall("sum", BinOp("+", col("i"), col("b")), "sum_ib"),
     AggCall("avg", BinOp("/", col("b"), col("i")), "avg_b_i"),
@@ -121,6 +142,35 @@ def same_frame(run, monkeypatch) -> pd.DataFrame:
     assert fetched.fetched and not compiled.fetched
     pd.testing.assert_frame_equal(fetched.result, compiled.result, check_dtype=True)
     return fetched
+
+
+def matches_duckdb(result: pd.DataFrame, plan: Plan, **tables) -> None:
+    """``result`` holds the rows DuckDB computes for ``plan`` over
+    ``tables``. DuckDB returns a DATE as a timestamp, so dates are compared
+    as timestamps."""
+    got = result.apply(
+        lambda s: pd.to_datetime(s) if pd.api.types.infer_dtype(s) == "date" else s
+    )
+    assert_equivalent(SimpleNamespace(toPandas=lambda: got), plan.to_sql(), **tables)
+
+
+# the nodes whose schema Spark's analyzer derives from their inputs' types
+TYPED_NODES = (Project, Join, Aggregate, Union, SetOp)
+
+
+def typed_as_by_spark(hs2: HiveServer2, plan: Plan) -> None:
+    """``plan_schema`` names every node of ``plan`` as ``output_columns``
+    does, and types the root and each of ``TYPED_NODES`` as Spark's
+    analyzer types that node compiled on its own (nullability aside)."""
+    ctx = _HS2ExecutionContext(hs2, hs2.hms.txns.snapshot())
+    for node in plan.walk():
+        schema = fetch.plan_schema(node, hs2.hms)
+        assert schema.names == output_columns(node, hs2.hms)
+        if node is plan or isinstance(node, TYPED_NODES):
+            analyzed = compile_plan(node, ctx).schema
+            assert [(f.name, f.dataType) for f in schema] == [
+                (f.name, f.dataType) for f in analyzed
+            ], type(node).__name__
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +212,13 @@ class TestTyping:
         if isinstance(t, T.BooleanType):
             aggs.append(AggCall("sum", col("b"), "sum_f", e))
         agg = Aggregate(Scan("t"), ("g",), tuple(aggs))
-        assert fetch.aggregate_schema(INPUT, agg.keys, agg.aggs) == analyzed(spark, agg)
+        try:
+            want = analyzed(spark, agg)
+        except AnalysisException:  # rand() in an aggregate
+            with pytest.raises(UNEVALUABLE):
+                fetch.aggregate_schema(INPUT, agg.keys, agg.aggs)
+            return
+        assert fetch.aggregate_schema(INPUT, agg.keys, agg.aggs) == want
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +261,8 @@ class TestFetchedFrames:
         pd.testing.assert_frame_equal(
             by_keys(r.result, keys), by_keys(spark_side.result, keys), check_dtype=True
         )
+        if table == "t":  # DuckDB types the columns of an empty frame as strings
+            matches_duckdb(r.result, plan, t=ROWS)
 
     @pytest.mark.parametrize("asc", [True, False], ids=["asc", "desc"])
     def test_operators_above_the_aggregate(self, arms, asc, monkeypatch):
@@ -256,20 +314,30 @@ class TestFetchedFrames:
 
 
 class TestMaterializedViewTypes:
+    # an int key; group (2, 7) spans both inserts, group (3, 8) holds only
+    # NULL arguments, so its SUM of ints and its MIN of dates are NULL
     DEFINITION = Aggregate(
         Scan("t"),
-        ("g",),
+        ("g", "k"),
         tuple(
             AggCall(f, col(a), f"{f}_{a}")
-            for f, args in (("sum", "ibd"), ("count", "ibs"), ("min", ("i", "d", "s")))
+            for f, args in (("sum", "ibd"), ("count", "ibs"), ("min", ("i", "d", "s", "dt")))
             for a in args
         )
         + (AggCall("max", col("b"), "max_b"), AggCall("count_star", None, "n")),
     )
+    # the view's columns as the plan types them
+    TYPES = [
+        ("g", "bigint"), ("k", "int"),
+        ("sum_i", "bigint"), ("sum_b", "bigint"), ("sum_d", "double"),
+        ("count_i", "bigint"), ("count_b", "bigint"), ("count_s", "bigint"),
+        ("min_i", "int"), ("min_d", "double"), ("min_s", "string"), ("min_dt", "date"),
+        ("max_b", "bigint"), ("n", "bigint"),
+    ]
 
     def test_llap_view_typed_as_on_containers(self, spark, tmp_path):
-        """Built and then incrementally rebuilt: the same column types and
-        contents in both arms."""
+        """Built and then incrementally rebuilt: the plan's column types and
+        the same contents in both arms, which DuckDB computes too."""
         seen = []
         for arm in ("v3_1", "v3_1_container"):
             with Warehouse(spark, tmp_path / arm, arm) as w:
@@ -280,15 +348,16 @@ class TestMaterializedViewTypes:
                 w.hs2.insert("t", ROWS[3:])
                 mode = w.hs2.rebuild_materialized_view("mv")
                 contents = w.hs2.execute(Scan("mv")).result
-                seen.append((built, mode, by_keys(contents, ["g"])))
+                seen.append((built, mode, by_keys(contents, ["g", "k"])))
         (llap_cols, llap_mode, llap), (cont_cols, cont_mode, cont) = seen
-        assert llap_cols == cont_cols
+        assert llap_cols == cont_cols == self.TYPES
         assert llap_mode == cont_mode == "incremental"
         pd.testing.assert_frame_equal(llap, cont, check_dtype=True)
+        matches_duckdb(llap, self.DEFINITION, t=ROWS)
 
 
 # ---------------------------------------------------------------------------
-# the workloads: every TPC-DS-lite query on LLAP, SSB over a Druid MV
+# the workloads: every TPC-DS-lite query in both arms, SSB over a Druid MV
 # ---------------------------------------------------------------------------
 
 SF = 0.002
@@ -298,10 +367,15 @@ SSB = ssb.queries()
 
 @pytest.fixture(scope="module")
 def tpcds(spark, tmp_path_factory):
-    config = EngineConfig.v3_1(container_startup_s=0.0, result_cache=False)
-    with HiveServer2(spark, str(tmp_path_factory.mktemp("tpcds") / "wh"), config) as hs2:
-        tpcds_lite.load_into(hs2, sf=SF)
-        yield hs2
+    """An LLAP and a container server over TPC-DS-lite."""
+    servers = {}
+    for arm in ("v3_1", "v3_1_container"):
+        config = getattr(EngineConfig, arm)(container_startup_s=0.0, result_cache=False)
+        servers[arm] = HiveServer2(spark, str(tmp_path_factory.mktemp(arm) / "wh"), config)
+        tpcds_lite.load_into(servers[arm], sf=SF)
+    yield servers
+    for hs2 in servers.values():
+        hs2.close()
 
 
 @pytest.fixture(scope="module")
@@ -316,20 +390,49 @@ def ssb_druid(spark, tmp_path_factory):
 
 @pytest.mark.parametrize("q", TPCDS, ids=[q.name for q in TPCDS])
 def test_tpcds_query_same_frame_fetched_or_compiled(tpcds, q, monkeypatch):
-    fetched = tpcds.execute(q)
+    """On LLAP the same frame with and without the fetch path; in both
+    arms the prepared plan typed as Spark types it."""
+    llap, container = tpcds["v3_1"], tpcds["v3_1_container"]
+    fetched = llap.execute(q)
     with monkeypatch.context() as m:
         not_fetched(m)
-        compiled = tpcds.execute(q)
+        compiled = llap.execute(q)
     assert not compiled.fetched
     assert fetched.daemon_aggregates == compiled.daemon_aggregates
     pd.testing.assert_frame_equal(fetched.result, compiled.result, check_dtype=True)
+    typed_as_by_spark(llap, fetched.final_plan)
+    typed_as_by_spark(container, container.execute(q).final_plan)
 
 
 @pytest.mark.parametrize("q", SSB, ids=[q.name for q in SSB])
 def test_ssb_query_over_druid_mv_is_fetched(ssb_druid, q, monkeypatch):
+    """Fetched as compiled, and typed as Spark types the prepared plan;
+    also the plan prepared without pushdown, whose Spark operators read
+    the view's catalog types."""
     r = same_frame(lambda: ssb_druid.execute(q), monkeypatch)
     assert r.mv_used == "ssb_druid_mv"
     assert any(isinstance(n, ForeignQuery) for n in r.final_plan.walk())
+    typed_as_by_spark(ssb_druid, r.final_plan)
+    monkeypatch.setattr(pushdown, "push_to_druid", lambda plan, hms, handler: plan)
+    ctx = _HS2ExecutionContext(ssb_druid, ssb_druid.hms.txns.snapshot())
+    typed_as_by_spark(ssb_druid, ctx.prepare(q.plan, {}))
+
+
+def test_empty_druid_answer_typed_as_on_native_tables(ssb_druid, monkeypatch):
+    """A query over the Druid MV whose filter matches nothing returns the
+    frame the same query returns over the native tables."""
+    q = next(q for q in SSB if q.name == "ssb_q3_1")
+    plan = q.plan.transform_up(
+        lambda n: Filter(n.child, And(n.cond, col("d_year").eq(1800))) if isinstance(n, Filter) else n
+    )
+    over_druid = ssb_druid.execute(plan)
+    assert over_druid.mv_used == "ssb_druid_mv" and over_druid.fetched
+    view = ssb_druid.hms.get_view("ssb_druid_mv")
+    monkeypatch.setattr(view, "enabled_for_rewriting", False)
+    native = ssb_druid.execute(plan)
+    assert native.mv_used is None
+    assert len(native.result) == 0
+    pd.testing.assert_frame_equal(over_druid.result, native.result, check_dtype=True)
 
 
 def test_druid_answer_starts_no_spark_job(spark, ssb_druid, monkeypatch):

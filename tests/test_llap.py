@@ -18,11 +18,11 @@ from repro.core.hs2 import _HS2ExecutionContext
 from repro.core.plan import Aggregate, Filter, Join, Scan
 from repro.core.semijoin import RuntimeFilter
 from repro.llap import ChunkKey, IOElevator, LlapCache, LlapDaemon, LRFUPolicy
-from repro.metastore import Column, Table, infer_columns
+from repro.metastore import Column, Table
 from repro.oracle import assert_equivalent
 from repro.storage.layout import bucket_file, write_data_file
 from repro.workloads import tpcds_lite
-from tests.conftest import Warehouse, make_acid_env, rows
+from tests.conftest import Warehouse, columns_of, make_acid_env, rows
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +384,6 @@ class TestElevator:
 
 @pytest.fixture
 def acid_llap(spark, tmp_path):
-    from repro.metastore import Column, Table, infer_columns
-
     env = make_acid_env(spark, tmp_path, row_group_rows=100)
     env.hms.create_table(
         Table(
@@ -631,7 +629,7 @@ JOINED_AGG = (
 def star(facts):
     """``facts`` with the dimensions ``d`` and ``q``."""
     for name, pdf in DIMENSIONS.items():
-        facts.hs2.create_table(Table(name, infer_columns(pdf)))
+        facts.hs2.create_table(Table(name, columns_of(pdf)))
         facts.hs2.insert(name, pdf)
     return facts
 
@@ -709,9 +707,11 @@ class TestDaemonFragment:
             assert r.result["s"].tolist() == [2 + 3 + 4 + 5]
             assert_equivalent(spark.createDataFrame(r.result), plan.to_sql(), days=days)
 
-    def test_shared_subtree_stays_in_spark(self, facts, monkeypatch):
-        """An aggregate over a subtree that shared work computes once is
-        not re-read per aggregate by the daemon."""
+    def test_shared_subtree_under_daemon_aggregates(self, facts, monkeypatch):
+        """Shared work does not switch the daemon off: on LLAP it runs both
+        aggregates over the repeated subtree (its cache serves the second
+        read) and nothing is persisted; on containers Spark persists the
+        subtree and computes it once."""
         base = Filter(Scan("f"), col("p").eq(1))
         plan = Join(
             Aggregate(base, (), (AggCall("count_star", None, "n1"),)),
@@ -719,8 +719,20 @@ class TestDaemonFragment:
             None,
             "cross",
         )
+        persisted = []  # fingerprints of the subtrees Spark persisted
+
+        def spy(plan, ctx, shared=None, memo=None):
+            df = compile_plan(plan, ctx, shared, memo)
+            persisted.extend(memo)
+            return df
+
+        monkeypatch.setattr(hs2_module, "compile_plan", spy)
         r = facts.hs2.execute(plan)
-        assert r.shared_subtrees >= 1 and r.daemon_aggregates == 0
+        assert r.shared_subtrees >= 1
+        if facts.hs2.config.llap:
+            assert r.daemon_aggregates == 2 and persisted == []
+        else:
+            assert r.daemon_aggregates == 0 and len(persisted) == 1
         tables = {"f": facts.hs2.reader.scan("f").toPandas()}
         assert_equivalent(facts.hs2.spark.createDataFrame(r.result), plan.to_sql(), **tables)
 
@@ -814,7 +826,7 @@ class TestDaemonFragment:
         """Both sides output ``p``: the daemon leaves the join to Spark.
         (The planner prunes an unused ``p``, so the scans name it here.)"""
         dim = pd.DataFrame({"dx": [1, 4, 4], "p": [1, 2, 3]})
-        star.hs2.create_table(Table("dp", infer_columns(dim)))
+        star.hs2.create_table(Table("dp", columns_of(dim)))
         star.hs2.insert("dp", dim)
         plan = Aggregate(
             Join(Scan("f", columns=("x", "p")), Scan("dp", columns=("dx", "p")), X_JOIN),

@@ -79,15 +79,13 @@ class TestDetection:
         assert sum(node == base for node in plan.walk()) == 4
 
 
+FACT = pd.DataFrame({"v": [0.05, 0.2, 0.5, 0.9] * 25, "h": [0, 1, 2, 3] * 25})
+
+
 class TestExecution:
     @pytest.fixture
     def pc(self, warehouse):
-        warehouse.load(
-            "fact",
-            pd.DataFrame(
-                {"v": [0.05, 0.2, 0.5, 0.9] * 25, "h": [0, 1, 2, 3] * 25}
-            ),
-        )
+        warehouse.load("fact", FACT)
         return warehouse
 
     def test_shared_execution_correct(self, pc):
@@ -96,20 +94,24 @@ class TestExecution:
         df = compile_plan(plan, pc.context(), shared_fingerprints=shared)
         assert_equivalent(df, plan.to_sql(), **pc.frames)
 
-    def test_shared_compiles_subtree_once(self, pc):
+    def test_shared_compiles_subtree_once(self, spark, tmp_path):
+        """On containers Spark computes the shared filtered scan once. (On
+        LLAP the daemon runs each aggregate with its scan, and its cache
+        serves the repeated read: no Scan is compiled.)"""
         plan = q88_shape(3)
         shared = find_shared_subtrees(plan)
         calls = []
-        ctx = pc.context()
-        orig = ctx.resolve_scan
+        with Warehouse(spark, tmp_path, "v3_1_container", fact=FACT) as w:
+            ctx = w.context()
+            orig = ctx.resolve_scan
 
-        def counting(scan):
-            calls.append(scan.table)
-            return orig(scan)
+            def counting(scan):
+                calls.append(scan.table)
+                return orig(scan)
 
-        ctx.resolve_scan = counting
-        memo: dict = {}
-        compile_plan(plan, ctx, shared_fingerprints=shared, _memo=memo)
+            ctx.resolve_scan = counting
+            memo: dict = {}
+            compile_plan(plan, ctx, shared_fingerprints=shared, _memo=memo)
         # the shared filtered scan resolves its Scan exactly once
         assert calls.count("fact") == 1
         assert len(memo) >= 1
